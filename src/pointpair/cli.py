@@ -159,6 +159,7 @@ def load_scene_spec(path: str, seed_override: int | None = None) -> SyntheticSce
             n_planes=_require(cp, "scene", "n_planes", int),
             room_size=_require(cp, "scene", "room_size", _float_tuple),
             box_extent=_require(cp, "scene", "box_extent", _float_tuple),
+            plane_extent=_require(cp, "scene", "plane_extent", _float_tuple),
             density=_require(cp, "scene", "density", float),
             n_cameras=_require(cp, "scene", "n_cameras", int),
             image_width=_require(cp, "scene", "image_width", int),
@@ -221,6 +222,7 @@ n_boxes = 5
 n_planes = 2
 room_size = 4.0,4.0,2.4  ; meters
 box_extent = 0.4,1.2     ; min,max box edge length in meters
+plane_extent = 1.0,2.5   ; min,max plane edge length in meters
 density = 800.0          ; surface samples per square meter
 n_cameras = 6
 image_width = 64
@@ -249,6 +251,8 @@ def cmd_pairgen(args) -> int:
     )
     if not frame_files:
         raise ConfigError(f"no .pcfd frames found in '{args.frames}'")
+    if os.path.isdir(args.out) and any(f.endswith(".pcpr") for f in os.listdir(args.out)):
+        raise ConfigError(f"'{args.out}' already holds pair files; pairgen needs an --out without them")
     config_echo = {
         "frames_dir": args.frames,
         "stride": args.stride,

@@ -1,8 +1,11 @@
 """Core 3D types: point clouds, rigid+scale transforms, exact nearest-neighbor search.
 
-Distances are Euclidean throughout.  Nearest-neighbor ties are broken by the
-lowest reference index, and the k-d tree computes each candidate distance with
-the same summation order as the brute-force scan, so the two agree bit for bit.
+Distances are Euclidean throughout.  The neighbor index answers queries within
+a radius fixed when it is built: each query gets its nearest reference point
+at distance <= radius, or (-1, inf) when there is none.  Ties are broken by
+the lowest reference index, and every candidate distance is summed as
+dx*dx + dy*dy + dz*dz, the order of the brute-force scan, so wherever that
+scan finds a point within the radius the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -139,8 +142,8 @@ def apply_transform(pc: PointCloud, t: RigidScaleTransform) -> PointCloud:
 def brute_force_nearest(pc: PointCloud, query) -> tuple[int, float]:
     """Exhaustive nearest-neighbor scan; ties resolve to the lowest index.
 
-    Serves as the oracle for `NeighborIndex.nearest`; both compute squared
-    distances as (dx*dx + dy*dy + dz*dz) so results match exactly.
+    Serves as the oracle for `NeighborIndex.nearest_many`; both compute
+    squared distances as (dx*dx + dy*dy + dz*dz) so results match exactly.
     """
     q = np.asarray(query, dtype=np.float64).reshape(3)
     diff = pc.points - q
@@ -149,101 +152,136 @@ def brute_force_nearest(pc: PointCloud, query) -> tuple[int, float]:
     return idx, float(np.sqrt(sq[idx]))
 
 
-class NeighborIndex:
-    """Balanced k-d tree over a point cloud for exact nearest-neighbor queries.
+_OFFSETS = np.array([-1.0, 0.0, 1.0])
+_QUERY_BLOCK = 4096  # queries whose cell ranges are held at once
+_MAX_CANDIDATES = 1 << 18  # (query, reference) distance rows held at once
 
-    The tree is immutable after construction; concurrent read-only queries are
-    safe.  Query results are identical to `brute_force_nearest`, including the
-    lowest-index tie rule and the distance bit pattern.
+
+class NeighborIndex:
+    """Uniform grid over a point cloud for exact nearest neighbors within a radius.
+
+    Cells are a little wider than `radius`, so every reference point within
+    `radius` of a query lies in the 3x3x3 block of cells around the query's
+    cell.  Reference points are sorted by cell key, and a query gathers its
+    candidates from the sorted runs of that block.  Cell coordinates are
+    ranked per axis over the occupied values, so keys fit in int64 at any
+    ratio of cloud extent to radius.
+
+    The index is immutable after construction; concurrent read-only queries
+    are safe.
     """
 
-    __slots__ = ("cloud", "_pts", "_axis", "_left", "_right", "_root")
+    __slots__ = ("radius", "_cell", "_axes", "_keys", "_order", "_xyz")
 
-    def __init__(self, pc: PointCloud):
-        self.cloud = pc
-        n = len(pc)
-        self._pts = pc.points.tolist()
-        self._axis = [0] * n
-        self._left = [-1] * n
-        self._right = [-1] * n
-        self._root = self._build(np.arange(n), 0)
-
-    def _build(self, indices: np.ndarray, depth: int) -> int:
-        if indices.size == 0:
-            return -1
-        axis = depth % 3
-        if indices.size == 1:
-            node = int(indices[0])
-            self._axis[node] = axis
-            return node
-        mid = indices.size // 2
-        order = np.argpartition(self.cloud.points[indices, axis], mid)
-        indices = indices[order]
-        node = int(indices[mid])
-        self._axis[node] = axis
-        self._left[node] = self._build(indices[:mid], depth + 1)
-        self._right[node] = self._build(indices[mid:][1:], depth + 1)
-        return node
-
-    def nearest(self, query) -> tuple[int, float]:
-        """Return (reference index, Euclidean distance) of the closest point."""
-        q = np.asarray(query, dtype=np.float64).reshape(3)
-        qx, qy, qz = float(q[0]), float(q[1]), float(q[2])
-        pts = self._pts
-        axis_of = self._axis
-        left = self._left
-        right = self._right
-        best_sq = float("inf")
-        best_idx = -1
-        q3 = (qx, qy, qz)
-        stack = [self._root]
-        push = stack.append
-        pop = stack.pop
-        while stack:
-            node = pop()
-            if node < 0:
-                continue
-            p = pts[node]
-            dx = p[0] - qx
-            dy = p[1] - qy
-            dz = p[2] - qz
-            sq = dx * dx + dy * dy + dz * dz
-            if sq < best_sq or (sq == best_sq and node < best_idx):
-                best_sq = sq
-                best_idx = node
-            axis = axis_of[node]
-            delta = q3[axis] - p[axis]
-            if delta < 0.0:
-                near, far = left[node], right[node]
-            else:
-                near, far = right[node], left[node]
-            # visit the far side only if the splitting plane can still hold
-            # a point at distance <= best (equality kept for tie-breaking)
-            if far >= 0 and delta * delta <= best_sq:
-                push(far)
-            if near >= 0:
-                push(near)
-        return best_idx, float(np.sqrt(best_sq))
+    def __init__(self, pc: PointCloud, radius: float):
+        radius = float(radius)
+        if not radius >= 0.0:
+            raise ValueError(f"radius must be non-negative, got {radius}")
+        self.radius = radius
+        pts = pc.points
+        # Cell edge: radius plus a margin above the rounding of p / cell and
+        # of the distance itself, so a point exactly `radius` away can never
+        # fall outside the 27 cells.  The margin grows with the coordinates'
+        # magnitude (ulps of |p|) and is positive even for radius 0.
+        scale = float(np.abs(pts).max()) + radius + 1.0
+        self._cell = radius * (1.0 + 1e-6) + 8.0 * np.finfo(np.float64).eps * scale
+        cells = np.floor(pts / self._cell)
+        self._axes = []
+        ranks = []
+        for k in range(3):
+            values, rank = np.unique(cells[:, k], return_inverse=True)
+            self._axes.append(values)
+            ranks.append(rank)
+        ny, nz = len(self._axes[1]), len(self._axes[2])
+        if len(self._axes[0]) * ny * nz >= 2**63:
+            raise ValueError("too many occupied cells for int64 cell keys")
+        keys = (ranks[0] * ny + ranks[1]) * nz + ranks[2]
+        self._order = np.argsort(keys, kind="stable")
+        self._keys = keys[self._order]
+        self._xyz = pts[self._order].T.copy()
 
     def nearest_many(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vector form of `nearest` over rows of `queries`."""
-        queries = np.asarray(queries, dtype=np.float64)
-        n = queries.shape[0]
-        idx = np.empty(n, dtype=np.int64)
-        dist = np.empty(n, dtype=np.float64)
-        nearest = self.nearest
-        for i, row in enumerate(queries.tolist()):
-            j, d = nearest(row)
-            idx[i] = j
-            dist[i] = d
+        """Nearest reference point within `radius` of every row of `queries`.
+
+        Returns (indices, distances).  Distance is sqrt(dx*dx + dy*dy + dz*dz),
+        a point is within range when distance <= radius, and ties go to the
+        lowest reference index.  A query with no point in range gets
+        (-1, inf).  Results equal `brute_force_nearest` wherever it finds a
+        point within `radius`, bit for bit.
+        """
+        q = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
+        idx = np.full(q.shape[0], -1, dtype=np.int64)
+        dist = np.full(q.shape[0], np.inf)
+        for s in range(0, q.shape[0], _QUERY_BLOCK):
+            block = q[s : s + _QUERY_BLOCK]
+            starts, counts = self._cell_runs(block)
+            ends = np.cumsum(counts.sum(axis=1))
+            a = 0
+            while a < block.shape[0]:
+                # as many queries as fit in _MAX_CANDIDATES, and at least one
+                base = ends[a - 1] if a else 0
+                e = max(a + 1, int(np.searchsorted(ends, base + _MAX_CANDIDATES, "right")))
+                self._resolve(block[a:e], starts[a:e], counts[a:e], idx[s + a : s + e], dist[s + a : s + e])
+                a = e
         return idx, dist
 
+    def _cell_runs(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Start and length of the runs of sorted reference points around
+        every query: one run per neighbouring (x, y) cell column, spanning
+        z cells c - 1 to c + 1 of the query's cell c.  Two (b, 9) arrays."""
+        c = np.floor(q / self._cell)
+        ax, ay, az = self._axes
+        rx = _neighbour_ranks(ax, c[:, 0])
+        ry = _neighbour_ranks(ay, c[:, 1])
+        # z ranks of the occupied values in [c - 1, c + 1]: one contiguous key range
+        zlo = np.searchsorted(az, c[:, 2] - 1.0, "left")
+        zhi = np.searchsorted(az, c[:, 2] + 1.0, "right")
+        column = (rx[:, :, None] * len(ay) + ry[:, None, :]).reshape(-1, 9) * len(az)
+        lo = np.searchsorted(self._keys, column + zlo[:, None], "left")
+        hi = np.searchsorted(self._keys, column + zhi[:, None], "left")
+        occupied = ((rx >= 0)[:, :, None] & (ry >= 0)[:, None, :]).reshape(-1, 9)
+        return lo, np.where(occupied, hi - lo, 0)
 
-def build_index(pc: PointCloud) -> NeighborIndex:
-    """Build a `NeighborIndex` over `pc` (pure: equal clouds give equal answers)."""
-    return NeighborIndex(pc)
+    def _resolve(self, q, starts, counts, out_idx, out_dist) -> None:
+        """Exact winners for the queries `q` among their candidate runs."""
+        counts = counts.reshape(-1)
+        total = int(counts.sum())
+        if total == 0:
+            return
+        owner = np.repeat(np.arange(q.shape[0]), counts.reshape(q.shape[0], -1).sum(axis=1))
+        pos = np.arange(total) + np.repeat(starts.reshape(-1) - (np.cumsum(counts) - counts), counts)
+        px, py, pz = self._xyz
+        dx = px[pos] - q[owner, 0]
+        dy = py[pos] - q[owner, 1]
+        dz = pz[pos] - q[owner, 2]
+        sq = dx * dx + dy * dy + dz * dz
+        ok = np.flatnonzero(np.sqrt(sq) <= self.radius)
+        if ok.size == 0:
+            return
+        owner, sq, ref = owner[ok], sq[ok], self._order[pos[ok]]
+        # per query: least squared distance, then lowest reference index
+        win = np.lexsort((ref, sq, owner))
+        first = win[np.r_[True, owner[win[1:]] != owner[win[:-1]]]]
+        out_idx[owner[first]] = ref[first]
+        out_dist[owner[first]] = np.sqrt(sq[first])
+
+
+def _neighbour_ranks(values: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Rank in `values` of c - 1, c and c + 1 for every c: shape (n, 3), -1 where absent."""
+    want = c[:, None] + _OFFSETS
+    r = np.searchsorted(values, want)
+    hit = values[np.minimum(r, len(values) - 1)] == want
+    return np.where(hit, r, -1)
+
+
+def build_index(pc: PointCloud, radius: float) -> NeighborIndex:
+    """Build a `NeighborIndex` over `pc` for queries within `radius` (pure:
+    equal clouds and radii give equal answers)."""
+    return NeighborIndex(pc, radius)
 
 
 def nearest(idx: NeighborIndex, query) -> tuple[int, float]:
-    """Nearest reference point to `query`; ties go to the lowest index."""
-    return idx.nearest(query)
+    """Nearest reference point within the index radius of one `query`, or
+    (-1, inf); ties go to the lowest index."""
+    i, d = idx.nearest_many(np.reshape(query, (1, 3)))
+    return int(i[0]), float(d[0])

@@ -3,8 +3,12 @@
 Overlap between two views is the symmetric minimum of the two directed
 inlier fractions (fraction of one view's points with a neighbor in the other
 view within a radius).  Correspondences take, for every point of the first
-view, its single nearest neighbor in the second view, kept when the distance
-is within the radius.
+view, its single nearest neighbor in the second view within the radius.
+Both come from radius-bounded searches (`geometry.NeighborIndex`): a point
+is within range when its distance is <= radius, and ties go to the lowest
+index.  `generate_pairs` indexes every view once and runs two directed
+searches per candidate pair; the x1 -> x2 search yields both the first
+inlier fraction and the matches.
 
 Pair file layout (little-endian):
     magic "PCPR" | PLY block (view 1) | PLY block (view 2)
@@ -81,25 +85,30 @@ def compute_overlap(x1: PointCloud, x2: PointCloud, radius: float) -> float:
     """Symmetric overlap ratio: min of the two directed inlier fractions."""
     if not radius > 0:
         raise ValueError("radius must be positive")
-    idx2 = build_index(x2)
-    _, d1 = idx2.nearest_many(x1.points)
-    idx1 = build_index(x1)
-    _, d2 = idx1.nearest_many(x2.points)
-    frac1 = float(np.count_nonzero(d1 <= radius)) / len(x1)
-    frac2 = float(np.count_nonzero(d2 <= radius)) / len(x2)
-    return min(frac1, frac2)
+    j12, _ = build_index(x2, radius).nearest_many(x1.points)
+    j21, _ = build_index(x1, radius).nearest_many(x2.points)
+    return _overlap(j12, j21)
 
 
 def compute_correspondences(x1: PointCloud, x2: PointCloud, radius: float) -> CorrespondenceMap:
-    """Nearest neighbor in x2 for every x1 point, thresholded at `radius`.
+    """Nearest neighbor in x2 within `radius` for every x1 point that has one.
 
     Output i values are strictly increasing; several i may share one j.
     """
-    idx2 = build_index(x2)
-    j, d = idx2.nearest_many(x1.points)
-    keep = d <= radius
-    i = np.nonzero(keep)[0].astype(np.int64)
-    return CorrespondenceMap(np.stack([i, j[keep]], axis=1))
+    j12, _ = build_index(x2, radius).nearest_many(x1.points)
+    return _matches(j12)
+
+
+def _overlap(j12: np.ndarray, j21: np.ndarray) -> float:
+    """Overlap from the neighbor indices (-1: none in range) of both directed searches."""
+    frac1 = float(np.count_nonzero(j12 >= 0)) / j12.shape[0]
+    frac2 = float(np.count_nonzero(j21 >= 0)) / j21.shape[0]
+    return min(frac1, frac2)
+
+
+def _matches(j12: np.ndarray) -> CorrespondenceMap:
+    i = np.flatnonzero(j12 >= 0)
+    return CorrespondenceMap(np.stack([i, j12[i]], axis=1))
 
 
 def subsample_view(pc: PointCloud, voxel_size: float) -> PointCloud:
@@ -129,6 +138,8 @@ def generate_pairs(
         raise ValueError("stride must be >= 1")
     if not 0.0 < overlap_threshold <= 1.0:
         raise ValueError("overlap_threshold must lie in (0, 1]")
+    if not radius > 0:
+        raise ValueError("radius must be positive")
     views: list[tuple[int, PointCloud]] = []
     for fi in range(0, len(frames), stride):
         try:
@@ -137,18 +148,19 @@ def generate_pairs(
             log.warning("frame %d has no valid pixels; skipped", fi)
             continue
         views.append((fi, subsample_view(view, voxel_size)))
+    indices = [build_index(v, radius) for _, v in views]
     pairs = []
     for a in range(len(views)):
         for b in range(a + 1, len(views)):
             fa, va = views[a]
             fb, vb = views[b]
-            ov = compute_overlap(va, vb, radius)
-            if ov >= overlap_threshold:
-                matches = compute_correspondences(va, vb, radius)
-                if len(matches) >= 1:
-                    pairs.append(
-                        ScenePair(va, vb, matches, ov, scene_id=scene_id, frame_ids=(fa, fb))
-                    )
+            j12, _ = indices[b].nearest_many(va.points)
+            j21, _ = indices[a].nearest_many(vb.points)
+            ov = _overlap(j12, j21)
+            if ov >= overlap_threshold:  # > 0, so x1 has at least one match
+                pairs.append(
+                    ScenePair(va, vb, _matches(j12), ov, scene_id=scene_id, frame_ids=(fa, fb))
+                )
     return pairs
 
 

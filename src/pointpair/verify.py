@@ -131,8 +131,10 @@ def random_coords(rng: np.random.Generator, n: int, extent: int = 8) -> np.ndarr
 def oracle_min_dists(x1: np.ndarray, x2: np.ndarray, block: int = 256):
     """Exhaustive per-row nearest neighbor of x1 in x2: (indices, distances).
 
-    Squared distances accumulate as dx*dx + dy*dy + dz*dz, the same order the
-    k-d tree uses, so distances agree bit for bit.
+    Squared distances accumulate as dx*dx + dy*dy + dz*dz, the same order as
+    the radius-bounded grid search of `geometry.NeighborIndex`, and ties go to
+    the lowest index, so wherever the nearest point lies within the search
+    radius the two agree bit for bit.
     """
     n = x1.shape[0]
     idx = np.empty(n, dtype=np.int64)
@@ -455,16 +457,18 @@ def run_gradcheck_suite(seed: int = 0, instances: int = 20) -> list[CheckResult]
 
 
 def _check_nn_oracle(rng: np.random.Generator, clouds: int = 20, queries: int = 50) -> CheckResult:
+    """The radius-bounded index against the exhaustive scan cut at the radius."""
     for _ in range(clouds):
         n = int(rng.integers(1, 800))
         pc = PointCloud(rng.uniform(-2, 2, (n, 3)))
-        index = build_index(pc)
-        for _ in range(queries):
-            q = rng.uniform(-2.5, 2.5, 3)
-            got = index.nearest(q)
-            want = brute_force_nearest(pc, q)
-            if got != want:
-                return CheckResult("oracle.nearest_neighbor", False, f"{got} != {want}")
+        radius = float(rng.uniform(0.05, 1.0))
+        qs = rng.uniform(-2.5, 2.5, (queries, 3))
+        got_i, got_d = build_index(pc, radius).nearest_many(qs)
+        for q, gi, gd in zip(qs, got_i, got_d):
+            wi, wd = brute_force_nearest(pc, q)
+            want = (wi, wd) if wd <= radius else (-1, float("inf"))
+            if (int(gi), float(gd)) != want:
+                return CheckResult("oracle.nearest_neighbor", False, f"{(gi, gd)} != {want}")
     return CheckResult("oracle.nearest_neighbor", True, f"{clouds} clouds x {queries} queries")
 
 

@@ -71,6 +71,13 @@ class TestTemplates:
         assert cfg.lr_power == 0.9 and cfg.weight_decay == 1e-4
         spec = cli.load_scene_spec("s.ini")
         assert spec.n_cameras == 6
+        assert spec.plane_extent == (1.0, 2.5)
+
+    def test_scene_plane_extent_is_read(self, workdir):
+        _write_scene(workdir / "scene.ini")
+        text = (workdir / "scene.ini").read_text().replace("plane_extent = 0.8,1.6", "plane_extent = 0.1,0.2")
+        (workdir / "scene.ini").write_text(text)
+        assert cli.load_scene_spec("scene.ini").plane_extent == (0.1, 0.2)
 
 
 class TestSynth:
@@ -140,6 +147,20 @@ class TestPairgen:
         rc = cli.main(["pairgen", "--frames", "frames", "--out", "empty", "--stride", "99"])
         assert rc == 0
         assert "0 pairs" in capsys.readouterr().out
+
+
+    def test_refuses_out_dir_holding_pairs(self, workdir, capsys):
+        _write_scene(workdir / "scene.ini", cameras=3)
+        cli.main(["synth", "--spec", "scene.ini", "--out", "frames"])
+        flags = ["--stride", "1", "--threshold", "0.3", "--radius", "0.05", "--voxel-size", "0.05"]
+        assert cli.main(["pairgen", "--frames", "frames", "--out", "pairs", *flags]) == 0
+        before = {f: (workdir / "pairs" / f).read_bytes() for f in os.listdir("pairs")}
+        assert any(f.endswith(".pcpr") for f in before)
+        rc = cli.main(["pairgen", "--frames", "frames", "--out", "pairs", "--stride", "2"])
+        assert rc == 1
+        assert "already holds pair files" in capsys.readouterr().err
+        after = {f: (workdir / "pairs" / f).read_bytes() for f in os.listdir("pairs")}
+        assert after == before  # pair files and manifest untouched
 
 
 class TestPretrainEval:

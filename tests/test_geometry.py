@@ -2,7 +2,11 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from pointpair import geometry
 from pointpair.errors import FormatError, InvalidTransformError
 from pointpair.geometry import (
     NeighborIndex,
@@ -93,48 +97,152 @@ class TestTransforms:
 
 
 class TestNeighborIndex:
+    # radius 20 exceeds every query distance here, so the bounded search
+    # gives the unbounded nearest neighbour
     def test_single_point_cloud(self, rng):
-        idx = build_index(PointCloud(np.array([[1.0, 2.0, 3.0]])))
+        idx = build_index(PointCloud(np.array([[1.0, 2.0, 3.0]])), 20.0)
         for _ in range(5):
             i, _ = nearest(idx, rng.uniform(-5, 5, 3))
             assert i == 0
 
     def test_self_queries_have_zero_distance(self, rng):
         pts = rng.uniform(-1, 1, (200, 3))
-        idx = build_index(PointCloud(pts))
+        idx = build_index(PointCloud(pts), 0.0)
         found, dist = idx.nearest_many(pts)
         np.testing.assert_array_equal(found, np.arange(200))
         assert dist.max() == 0.0
 
     def test_tie_breaks_to_lowest_index(self):
         pts = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [-2.0, 0.0, 0.0]])
-        idx = build_index(PointCloud(pts))
+        idx = build_index(PointCloud(pts), 20.0)
         # query at x=... equidistant to rows 1 and 2; also equidistant duplicates
         i, d = nearest(idx, [0.0, 5.0, 0.0])
         assert i == 0
         dup = np.array([[1.0, 1.0, 1.0]] * 4)
-        idx2 = build_index(PointCloud(dup))
+        idx2 = build_index(PointCloud(dup), 20.0)
         i, d = nearest(idx2, [9.0, 9.0, 9.0])
         assert i == 0
+        # equidistant points in different cells, the lower index in the higher cell
+        for radius in (2.0, 2.5, 20.0):
+            mirrored = build_index(PointCloud(np.array([[2.0, 0.0, 0.0], [-2.0, 0.0, 0.0]])), radius)
+            assert nearest(mirrored, [0.0, 0.0, 0.0]) == (0, 2.0)
 
     def test_matches_brute_force_exactly(self, rng):
-        # same index and same distance bit pattern as the exhaustive oracle
+        # radius above the largest query distance (sqrt(3) * 6.5): same index
+        # and same distance bit pattern as the exhaustive oracle
         for _ in range(30):
             n = int(rng.integers(1, 2000))
             pc = PointCloud(rng.uniform(-3, 3, (n, 3)))
-            idx = build_index(pc)
+            idx = build_index(pc, 12.0)
             for _ in range(30):
                 q = rng.uniform(-3.5, 3.5, 3)
-                assert idx.nearest(q) == brute_force_nearest(pc, q)
+                assert nearest(idx, q) == brute_force_nearest(pc, q)
 
     def test_build_is_pure(self, rng):
         pc = PointCloud(rng.uniform(-1, 1, (300, 3)))
-        a, b = NeighborIndex(pc), NeighborIndex(pc)
+        a, b = NeighborIndex(pc, 0.3), NeighborIndex(pc, 0.3)
         queries = rng.uniform(-1, 1, (50, 3))
         ia, da = a.nearest_many(queries)
         ib, db = b.nearest_many(queries)
         np.testing.assert_array_equal(ia, ib)
         np.testing.assert_array_equal(da, db)
+
+
+def _bounded_oracle(pts, queries, radius):
+    """`brute_force_nearest` per query, cut at `radius`."""
+    pc = PointCloud(pts)
+    out = [brute_force_nearest(pc, q) for q in queries]
+    idx = np.array([i if d <= radius else -1 for i, d in out], dtype=np.int64)
+    dist = np.array([d if d <= radius else np.inf for _, d in out])
+    return idx, dist
+
+
+def _assert_bounded_exact(pts, queries, radius):
+    got_i, got_d = build_index(PointCloud(pts), radius).nearest_many(queries)
+    want_i, want_d = _bounded_oracle(pts, queries, radius)
+    np.testing.assert_array_equal(got_i, want_i)
+    np.testing.assert_array_equal(got_d.view(np.int64), want_d.view(np.int64))
+
+
+_lattice = st.lists(st.tuples(*[st.integers(-5, 5)] * 3), min_size=1, max_size=30)
+
+
+class TestRadiusBoundedSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ref=_lattice,
+        qry=_lattice,
+        free=hnp.arrays(np.float64, st.tuples(st.integers(0, 8), st.just(3)),
+                        elements=st.floats(-6.0, 6.0)),
+        step=st.sampled_from([0.025, 0.05, 0.25, 1.0 / 3.0]),
+        offset=st.sampled_from([0.0, 16.0, -16.0, 15.9875]),
+        radius_steps=st.sampled_from([0.0, 0.5, 1.0, 2**0.5, 3**0.5, 2.0, 2.7]),
+    )
+    def test_matches_thresholded_brute_force(self, ref, qry, free, step, offset, radius_steps):
+        # lattice points put many pairs at (or a rounding away from) exactly
+        # the radius, along an axis or a diagonal, on both sides of cell edges
+        # mirrored copies give exact ties in different cells
+        pts = np.vstack([ref, np.negative(ref)]).astype(np.float64) * step + offset
+        queries = np.vstack([np.array(qry, dtype=np.float64) * step, free * step]) + offset
+        _assert_bounded_exact(pts, queries, radius_steps * step)
+
+    @pytest.mark.parametrize("offset", [0.0, 16.0, -16.0])
+    def test_exactly_radius_apart_is_included(self, offset):
+        # a point on a cell edge and a query just below zero: the distance
+        # rounds to exactly the radius, and the two sit two edges apart
+        edge = PointCloud(np.array([[0.05, 0.0, 0.0]]))
+        assert nearest(build_index(edge, 0.05), [-1e-18, 0.0, 0.0]) == (0, 0.05)
+        base = np.array([[0.5, 0.25, -0.75]]) + offset
+        for delta in ([0.25, 0.0, 0.0], [0.0, 0.0, -0.25], [0.3, 0.4, 0.0], [0.1, -0.2, 0.3]):
+            q = base + np.array(delta)
+            _, d = brute_force_nearest(PointCloud(base), q[0])
+            assert nearest(build_index(PointCloud(base), d), q[0]) == (0, d)
+            assert nearest(build_index(PointCloud(base), np.nextafter(d, 0.0)), q[0]) == (-1, np.inf)
+
+    @pytest.mark.parametrize("offset", [0.0, 16.0, -16.0])
+    def test_points_straddling_cell_edges(self, offset):
+        radius = 0.05
+        # the anchors fix max |p|, and so the cell edge, for the cloud below
+        anchors = np.array([[offset - 1.0, 0.0, 0.0], [offset + 1.0, 0.0, 0.0]])
+        cell = build_index(PointCloud(anchors), radius)._cell
+        # one point near every other cell edge, so its only neighbour within
+        # `radius` is the query made from it, one or more cells away
+        edges = (np.floor((offset - 0.2) / cell) + 2 * np.arange(10)) * cell
+        line = edges + np.resize([-1e-12, -1e-15, 0.0, 1e-15, 1e-12], 10)
+        pts = np.vstack([anchors, np.stack([line, line - offset, line - offset], axis=1)])
+        assert build_index(PointCloud(pts), radius)._cell == cell
+        steps = radius * np.array(
+            [[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 1.0] / np.sqrt(3), [-1.0, 1.0, -1.0] / np.sqrt(3)]
+        )
+        queries = (pts[:, None, :] + steps).reshape(-1, 3)
+        _assert_bounded_exact(pts, queries, radius)
+
+    def test_no_neighbour_gives_minus_one_and_inf(self, rng):
+        idx = build_index(PointCloud(rng.uniform(0, 1, (50, 3))), 0.1)
+        found, dist = idx.nearest_many(rng.uniform(0, 1, (20, 3)) + 5.0)
+        np.testing.assert_array_equal(found, np.full(20, -1))
+        assert np.isposinf(dist).all()
+        found, dist = idx.nearest_many(np.empty((0, 3)))
+        assert found.shape == dist.shape == (0,)
+
+    def test_blocked_queries_match_unblocked(self, rng, monkeypatch):
+        pts = rng.uniform(-1, 1, (300, 3))
+        queries = rng.uniform(-1.2, 1.2, (200, 3))
+        for radius in (0.15, 5.0):  # few candidates per query, then all of them
+            want = build_index(PointCloud(pts), radius).nearest_many(queries)
+            monkeypatch.setattr(geometry, "_QUERY_BLOCK", 7)
+            monkeypatch.setattr(geometry, "_MAX_CANDIDATES", 100)
+            got = build_index(PointCloud(pts), radius).nearest_many(queries)
+            monkeypatch.undo()
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+            np.testing.assert_array_equal(got[0], _bounded_oracle(pts, queries, radius)[0])
+
+    def test_rejects_negative_or_nan_radius(self):
+        pc = PointCloud(np.zeros((1, 3)))
+        for bad in (-0.1, float("nan")):
+            with pytest.raises(ValueError):
+                build_index(pc, bad)
 
 
 class TestPly:
