@@ -11,6 +11,10 @@ set.
 
 Neighbor index maps depend only on coordinates, so they are built once per
 coordinate set (`CoordContext`) and shared by every layer at that resolution.
+Each map build is one batched sorted-key lookup over all its offsets.  Offset
+K^3-1-k is the negation of offset k, so a stride-1 build looks up only the
+offsets before the centre and takes each mirror map as the swapped pairs,
+reordered by dst where the coordinates are not sorted by packed key.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DegenerateBatchError
-from ..voxel import SparseVoxelTensor, VoxelHashMap
+from ..voxel import SparseVoxelTensor, VoxelHashMap, pack_coords, unpack_coords
 
 
 def kernel_offsets(kernel_size: int) -> np.ndarray:
@@ -39,6 +43,23 @@ def kernel_offsets(kernel_size: int) -> np.ndarray:
 OffsetMaps = list[tuple[np.ndarray, np.ndarray]]
 
 
+def _split_maps(src_rows: np.ndarray) -> OffsetMaps:
+    """Per-offset (dst, src) maps from a (K, n_dst) table of source rows (-1: absent)."""
+    maps = []
+    for src in src_rows:
+        dst = np.flatnonzero(src >= 0)
+        maps.append((dst, src[dst]))
+    return maps
+
+
+def _mirror(dst: np.ndarray, src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The map of offset -o from the map of offset o, ordered by ascending dst."""
+    if src.size > 1 and (src[1:] < src[:-1]).any():
+        order = np.argsort(src)
+        return src[order], dst[order]
+    return src, dst
+
+
 class CoordContext:
     """Per-resolution coordinate bookkeeping shared by all layers at that level."""
 
@@ -54,23 +75,16 @@ class CoordContext:
         maps = self._stride1_cache.get(kernel_size)
         if maps is None:
             offs = kernel_offsets(kernel_size)
-            maps = []
+            half = offs.shape[0] // 2
+            lower = _split_maps(self.hash.lookup(self.coords, offs[:half]).reshape(half, self.n))
             all_rows = np.arange(self.n, dtype=np.int64)
-            for off in offs:
-                if not off.any():
-                    maps.append((all_rows, all_rows))
-                    continue
-                src = self.hash.lookup(self.coords + off)
-                dst = np.nonzero(src >= 0)[0].astype(np.int64)
-                maps.append((dst, src[dst]))
+            maps = lower + [(all_rows, all_rows)] + [_mirror(*m) for m in reversed(lower)]
             self._stride1_cache[kernel_size] = maps
         return maps
 
 
 def downsample_coords(coords: np.ndarray) -> np.ndarray:
     """Sorted unique floor-halved coordinates (stride-2 output sites)."""
-    from ..voxel import pack_coords, unpack_coords
-
     halved = coords >> 1  # arithmetic shift == floor division for int64
     return unpack_coords(np.unique(pack_coords(halved)))
 
@@ -78,13 +92,8 @@ def downsample_coords(coords: np.ndarray) -> np.ndarray:
 def stride2_maps(fine: CoordContext, coarse: CoordContext, kernel_size: int) -> OffsetMaps:
     """(coarse row, fine row) pairs per offset: fine coord = 2*coarse + offset."""
     offs = kernel_offsets(kernel_size)
-    maps = []
-    doubled = coarse.coords << 1
-    for off in offs:
-        src = fine.hash.lookup(doubled + off)
-        dst = np.nonzero(src >= 0)[0].astype(np.int64)
-        maps.append((dst, src[dst]))
-    return maps
+    src_rows = fine.hash.lookup(coarse.coords << 1, offs)
+    return _split_maps(src_rows.reshape(offs.shape[0], coarse.n))
 
 
 def swap_maps(maps: OffsetMaps) -> OffsetMaps:

@@ -108,15 +108,28 @@ def _write_tensor(fh, name: str, tensor: np.ndarray) -> None:
     fh.write(tensor.astype("<f8").tobytes())
 
 
+def read_exact(fh, size: int, what: str) -> bytes:
+    """Exactly `size` bytes from `fh`; FormatError if the file ends first."""
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise FormatError(f"truncated {what}: expected {size} bytes, got {len(raw)}")
+    return raw
+
+
+def read_struct(fh, fmt: str, what: str) -> tuple:
+    return struct.unpack(fmt, read_exact(fh, struct.calcsize(fmt), what))
+
+
 def _read_tensor(fh) -> tuple[str, np.ndarray]:
-    (name_len,) = struct.unpack("<H", fh.read(2))
-    name = fh.read(name_len).decode("utf-8")
-    (rank,) = struct.unpack("<B", fh.read(1))
-    dims = [struct.unpack("<Q", fh.read(8))[0] for _ in range(rank)]
+    (name_len,) = read_struct(fh, "<H", "tensor name length")
+    try:
+        name = read_exact(fh, name_len, "tensor name").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"tensor name is not UTF-8: {exc}") from exc
+    (rank,) = read_struct(fh, "<B", f"rank of '{name}'")
+    dims = read_struct(fh, f"<{rank}Q", f"shape of '{name}'")
     count = int(np.prod(dims)) if dims else 1
-    raw = fh.read(8 * count)
-    if len(raw) != 8 * count:
-        raise FormatError(f"truncated tensor payload for '{name}'")
+    raw = read_exact(fh, 8 * count, f"tensor payload for '{name}'")
     return name, np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
 
 
@@ -127,7 +140,7 @@ def write_tensor_section(fh, tensors: dict[str, np.ndarray]) -> None:
 
 
 def read_tensor_section(fh) -> dict[str, np.ndarray]:
-    (count,) = struct.unpack("<I", fh.read(4))
+    (count,) = read_struct(fh, "<I", "tensor count")
     return dict(_read_tensor(fh) for _ in range(count))
 
 
@@ -158,8 +171,11 @@ def load_params(source) -> tuple[ParameterSet, dict]:
 def _load_params_stream(fh) -> tuple[ParameterSet, dict]:
     if fh.read(4) != _PARAMS_MAGIC:
         raise FormatError("bad parameter file magic; expected PCCK")
-    (blob_len,) = struct.unpack("<I", fh.read(4))
-    config_echo = json.loads(fh.read(blob_len).decode("utf-8"))
+    (blob_len,) = read_struct(fh, "<I", "config length")
+    try:
+        config_echo = json.loads(read_exact(fh, blob_len, "config JSON"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise FormatError(f"config JSON is malformed: {exc}") from exc
     params = ParameterSet(read_tensor_section(fh))
     params.validate_finite()
     return params, config_echo

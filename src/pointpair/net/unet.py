@@ -36,7 +36,7 @@ from .layers import (
     swap_maps,
     updated_running_stats,
 )
-from .params import GradientSet, ParameterSet
+from .params import GradientSet, ParameterSet, is_trainable
 
 
 @dataclass(frozen=True)
@@ -335,7 +335,9 @@ class UNet:
         """Exact adjoint of forward: gradient registry plus input-feature grads."""
         tape.consume()
         cfg = self.cfg
-        grads = GradientSet.zeros_like(self._zero_params(), trainable_only=True)
+        grads = GradientSet(
+            {name: np.zeros(shape) for name, shape in self.param_specs() if is_trainable(name)}
+        )
 
         head_maps, head_in = tape.head_cache
         d_x, d_head = conv_grads(head_maps, head_in, params[self.head_key], d_out, head_in.shape[0])
@@ -360,12 +362,6 @@ class UNet:
         d_in = self.stem.backward(tape.stem_cache, d_x, params, grads)
         return grads, d_in
 
-    def _zero_params(self) -> ParameterSet:
-        p = ParameterSet()
-        for name, shape in self.param_specs():
-            p.add(name, np.zeros(shape))
-        return p
-
     def init_params(self, seed: int) -> ParameterSet:
         """He-uniform convolution kernels (variance 2 / fan_in); BN scale 1,
         shift 0, running mean 0, running variance 1.  Deterministic in seed."""
@@ -385,7 +381,7 @@ class UNet:
     def param_count(self, trainable_only: bool = True) -> int:
         total = 0
         for name, shape in self.param_specs():
-            if trainable_only and name.endswith((".running_mean", ".running_var")):
+            if trainable_only and not is_trainable(name):
                 continue
             total += int(np.prod(shape))
         return total

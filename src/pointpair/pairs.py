@@ -6,9 +6,10 @@ view within a radius).  Correspondences take, for every point of the first
 view, its single nearest neighbor in the second view within the radius.
 Both come from radius-bounded searches (`geometry.NeighborIndex`): a point
 is within range when its distance is <= radius, and ties go to the lowest
-index.  `generate_pairs` indexes every view once and runs two directed
-searches per candidate pair; the x1 -> x2 search yields both the first
-inlier fraction and the matches.
+index.  `generate_pairs` indexes every view once and runs up to two
+directed searches per candidate pair; the x1 -> x2 search yields both the
+first inlier fraction and the matches, and the x2 -> x1 search runs only
+when that fraction reaches the threshold.
 
 Pair file layout (little-endian):
     magic "PCPR" | PLY block (view 1) | PLY block (view 2)
@@ -99,11 +100,14 @@ def compute_correspondences(x1: PointCloud, x2: PointCloud, radius: float) -> Co
     return _matches(j12)
 
 
+def _inlier_fraction(j: np.ndarray) -> float:
+    """Fraction of a directed search's queries with a neighbor (-1: none in range)."""
+    return float(np.count_nonzero(j >= 0)) / j.shape[0]
+
+
 def _overlap(j12: np.ndarray, j21: np.ndarray) -> float:
-    """Overlap from the neighbor indices (-1: none in range) of both directed searches."""
-    frac1 = float(np.count_nonzero(j12 >= 0)) / j12.shape[0]
-    frac2 = float(np.count_nonzero(j21 >= 0)) / j21.shape[0]
-    return min(frac1, frac2)
+    """Overlap from the neighbor indices of both directed searches."""
+    return min(_inlier_fraction(j12), _inlier_fraction(j21))
 
 
 def _matches(j12: np.ndarray) -> CorrespondenceMap:
@@ -155,6 +159,8 @@ def generate_pairs(
             fa, va = views[a]
             fb, vb = views[b]
             j12, _ = indices[b].nearest_many(va.points)
+            if _inlier_fraction(j12) < overlap_threshold:
+                continue  # the overlap is the smaller fraction: rejected already
             j21, _ = indices[a].nearest_many(vb.points)
             ov = _overlap(j12, j21)
             if ov >= overlap_threshold:  # > 0, so x1 has at least one match

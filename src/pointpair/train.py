@@ -37,7 +37,16 @@ from .losses import (
     sample_negative_pool,
     subsample_matches,
 )
-from .net.params import GradientSet, ParameterSet, is_trainable, load_params, read_tensor_section, save_params, write_tensor_section
+from .net.params import (
+    GradientSet,
+    ParameterSet,
+    is_trainable,
+    load_params,
+    read_struct,
+    read_tensor_section,
+    save_params,
+    write_tensor_section,
+)
 from .net.unet import UNet, UNetConfig, commit_bn_stats
 from .pairs import ScenePair
 from .voxel import collapse_matches_to_voxels, first_point_indices, quantize
@@ -318,7 +327,7 @@ def load_checkpoint(path) -> tuple[ParameterSet, dict, OptimizerState]:
         magic = fh.read(4)
         if magic != _OPT_MAGIC:
             raise FormatError("checkpoint missing PCOS optimizer section")
-        (iteration,) = struct.unpack("<Q", fh.read(8))
+        (iteration,) = read_struct(fh, "<Q", "optimizer iteration")
         buffers = read_tensor_section(fh)
     return params, echo, OptimizerState(buffers, iteration)
 

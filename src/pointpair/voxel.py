@@ -1,4 +1,4 @@
-"""Sparse voxel tensors: quantization, hash-based coordinate lookup, devoxelization.
+"""Sparse voxel tensors: quantization, sorted-key coordinate lookup, devoxelization.
 
 Voxel coordinates are ``floor(p / voxel_size)`` componentwise.  When several
 points share a voxel, the voxel keeps the feature row of the lowest-index
@@ -39,65 +39,52 @@ def unpack_coords(keys: np.ndarray) -> np.ndarray:
     return np.stack([x, y, z], axis=1) - _COORD_LIMIT
 
 
-def _mix64(keys: np.ndarray) -> np.ndarray:
-    # splitmix64 finalizer; uint64 arithmetic wraps by design
-    k = keys.astype(np.uint64)
-    k = (k ^ (k >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    k = (k ^ (k >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return k ^ (k >> np.uint64(31))
+def pack_shifted(coords: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Keys of ``coords + offset`` for every offset, offset-major, shape (K * N,).
+
+    Packing is additive while every field stays in range, so each offset adds
+    one key delta to the packed coordinates.  The bounding box of all shifted
+    coordinates is packed first: a query outside the packing range raises
+    ValueError, as ``pack_coords`` would, instead of borrowing across fields
+    into another coordinate's key.
+    """
+    c = np.asarray(coords, dtype=np.int64)
+    o = np.asarray(offsets, dtype=np.int64).reshape(-1, 3)
+    if c.size and o.size:
+        pack_coords(np.stack([c.min(axis=0) + o.min(axis=0), c.max(axis=0) + o.max(axis=0)]))
+    deltas = (o[:, 0] << (2 * _COORD_BITS)) + (o[:, 1] << _COORD_BITS) + o[:, 2]
+    return (deltas[:, None] + pack_coords(c)[None, :]).ravel()
 
 
 class VoxelHashMap:
-    """Open-addressing map from integer voxel coordinates to row indices.
+    """Sorted-key map from integer voxel coordinates to row indices.
 
-    Keys are the packed coordinates, hashed through a 64-bit mixer, with
-    linear probing.  Construction and lookup are value-deterministic: the
-    table layout depends only on the coordinate array, and no iteration
-    order is ever observable in results.
+    The packed keys are argsorted once, so any row order works; a lookup is
+    one ``np.searchsorted`` over the sorted keys followed by an equality
+    test.  Results depend only on the coordinate values.
     """
 
-    __slots__ = ("keys", "_table", "_mask")
+    __slots__ = ("_sorted", "_rows")
 
     def __init__(self, coords: np.ndarray):
         keys = pack_coords(coords)
-        n = keys.shape[0]
-        if np.unique(keys).shape[0] != n:
+        rows = np.argsort(keys, kind="stable")
+        if (np.diff(keys[rows]) == 0).any():
             raise ValueError("duplicate voxel coordinates")
-        size = 1 << max(3, int(2 * n - 1).bit_length())  # load factor <= 0.5
-        self.keys = keys
-        self._mask = np.uint64(size - 1)
-        table = np.full(size, -1, dtype=np.int64)
-        slots = _mix64(keys) & self._mask
-        pending = np.arange(n, dtype=np.int64)
-        while pending.size:
-            cand = slots[pending]
-            free = table[cand] == -1
-            attempt = pending[free]
-            table[cand[free]] = attempt  # in-round collisions: last write wins
-            placed = table[cand[free]] == attempt
-            lost = np.concatenate([pending[~free], attempt[~placed]])
-            slots[lost] = (slots[lost] + np.uint64(1)) & self._mask
-            pending = lost
-        self._table = table
+        # an end sentinel keeps every searchsorted position in bounds; its row is -1
+        self._sorted = np.append(keys[rows], np.iinfo(np.int64).max)
+        self._rows = np.append(rows, -1)
 
-    def lookup(self, coords: np.ndarray) -> np.ndarray:
-        """Row index per query coordinate; -1 where absent."""
-        qkeys = pack_coords(coords)
-        m = qkeys.shape[0]
-        out = np.full(m, -1, dtype=np.int64)
-        slots = _mix64(qkeys) & self._mask
-        active = np.arange(m, dtype=np.int64)
-        while active.size:
-            entries = self._table[slots[active]]
-            empty = entries == -1
-            hit = np.zeros(active.shape[0], dtype=bool)
-            occ = ~empty
-            hit[occ] = self.keys[entries[occ]] == qkeys[active[occ]]
-            out[active[hit]] = entries[hit]
-            keep = occ & ~hit
-            active = active[keep]
-            slots[active] = (slots[active] + np.uint64(1)) & self._mask
-        return out
+    def lookup(self, coords: np.ndarray, offsets: np.ndarray | None = None) -> np.ndarray:
+        """Row index per query coordinate; -1 where absent.
+
+        With `offsets` (K, 3), the queries are ``coords + offset`` for every
+        offset, offset-major: entry ``k * len(coords) + i`` answers
+        ``coords[i] + offsets[k]``.
+        """
+        keys = pack_coords(coords) if offsets is None else pack_shifted(coords, offsets)
+        pos = np.searchsorted(self._sorted, keys)
+        return np.where(self._sorted[pos] == keys, self._rows[pos], -1)
 
     def lookup_one(self, coord) -> int | None:
         row = self.lookup(np.asarray(coord, dtype=np.int64).reshape(1, 3))[0]

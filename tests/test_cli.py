@@ -221,6 +221,18 @@ class TestPretrainEval:
         out = capsys.readouterr().out
         assert "random-init FMR" in out and "delta" in out
 
+    def test_eval_truncated_checkpoint_is_format_error(self, workdir, pairs_dir, capsys):
+        _write_train(workdir / "train.ini", max_iters=1)
+        cli.main(["pretrain", "--pairs", pairs_dir, "--config", "train.ini", "--out", "run"])
+        blob = (workdir / "run" / "checkpoint_final.ckpt").read_bytes()
+        capsys.readouterr()
+        # inside the config length, the config JSON, and a tensor payload
+        for size in (6, 20, len(blob) // 2):
+            (workdir / "cut.ckpt").write_bytes(blob[:size])
+            rc = cli.main(["eval", "--checkpoint", "cut.ckpt", "--pairs", pairs_dir, "--out", "ev"])
+            assert rc == 2
+            assert capsys.readouterr().err.startswith("error: truncated")
+
 
 class TestVerifyCommand:
     def test_oracle_suite_exits_zero(self, capsys):

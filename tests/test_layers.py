@@ -12,6 +12,7 @@ from pointpair.net.layers import (
     relu_forward,
     sparse_conv_backward,
     sparse_conv_forward,
+    stride2_maps,
     transpose_conv_forward,
     transpose_conv_backward,
     updated_running_stats,
@@ -216,3 +217,68 @@ class TestCoordContext:
                 np.testing.assert_array_equal(
                     coords[dst] + kernel_offsets(3)[k], coords[src]
                 )
+
+
+def _reference_maps(out_coords, in_coords, offs, scale=1):
+    """Per offset, every (out row, in row) with in = scale * out + offset, by out row."""
+    rows = {tuple(c): r for r, c in enumerate(in_coords.tolist())}
+    maps = []
+    for o in offs.tolist():
+        pairs = [
+            (i, rows[q])
+            for i, c in enumerate(out_coords.tolist())
+            if (q := tuple(scale * a + b for a, b in zip(c, o))) in rows
+        ]
+        maps.append(np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    return maps
+
+
+def _assert_maps_equal(got, want):
+    assert len(got) == len(want)
+    for (dst, src), ref in zip(got, want):
+        assert dst.dtype == np.int64 and src.dtype == np.int64
+        np.testing.assert_array_equal(dst, ref[:, 0])
+        np.testing.assert_array_equal(src, ref[:, 1])
+
+
+def _coord_sets(rng):
+    """Sorted (as every U-Net level) and shuffled coordinate sets, dense and sparse."""
+    for n, extent in ((60, 5), (200, 7), (40, 12)):
+        coords = random_coords(rng, n, extent) + rng.integers(-500, 500, 3)
+        ordered = coords[np.lexsort(coords.T[::-1])]
+        yield ordered
+        yield ordered[rng.permutation(n)]
+
+
+class TestMapsAgainstReference:
+    @pytest.mark.parametrize("kernel_size", [1, 3, 5])
+    def test_stride1(self, rng, kernel_size):
+        for coords in _coord_sets(rng):
+            got = CoordContext(coords).stride1_maps(kernel_size)
+            _assert_maps_equal(got, _reference_maps(coords, coords, kernel_offsets(kernel_size)))
+
+    @pytest.mark.parametrize("kernel_size", [1, 3])
+    def test_stride2_and_transpose(self, rng, kernel_size):
+        offs = kernel_offsets(kernel_size)
+        for fine in _coord_sets(rng):
+            coarse = downsample_coords(fine)
+            for coarse_rows in (coarse, coarse[rng.permutation(len(coarse))]):
+                want = _reference_maps(coarse_rows, fine, offs, scale=2)
+                got = stride2_maps(CoordContext(fine), CoordContext(coarse_rows), kernel_size)
+                _assert_maps_equal(got, want)
+                inp = SparseVoxelTensor(coarse_rows, np.ones((len(coarse_rows), 1)), 1.0)
+                _, tape = transpose_conv_forward(inp, np.ones((len(offs), 1, 1)), fine)
+                _assert_maps_equal(tape.maps, [ref[:, ::-1] for ref in want])
+
+    def test_packing_limit(self):
+        limit = 1 << 20
+        # one step past +2^20 - 1 in z would borrow into y and find (0, 1, -2^20)
+        at_limit = np.array([[0, 0, limit - 1], [0, 1, -limit]], dtype=np.int64)
+        with pytest.raises(ValueError):
+            CoordContext(at_limit).stride1_maps(3)
+        inside = np.array(
+            [[0, 0, limit - 2], [0, 1, -limit + 1], [0, 0, limit - 3], [1, 1, -limit + 1]],
+            dtype=np.int64,
+        )
+        got = CoordContext(inside).stride1_maps(3)
+        _assert_maps_equal(got, _reference_maps(inside, inside, kernel_offsets(3)))

@@ -5,7 +5,13 @@ import pytest
 
 from pointpair.errors import FormatError
 from pointpair.frames import DepthFrame, SyntheticSceneSpec, backproject, synthesize_scene
-from pointpair.geometry import PointCloud, RigidScaleTransform, apply_transform, rotation_about_axis
+from pointpair.geometry import (
+    NeighborIndex,
+    PointCloud,
+    RigidScaleTransform,
+    apply_transform,
+    rotation_about_axis,
+)
 from pointpair.pairs import (
     CorrespondenceMap,
     ScenePair,
@@ -121,6 +127,22 @@ class TestGeneratePairs:
         pairs = generate_pairs([self._flat_frame(), self._flat_frame(shift=500.0)], stride=1,
                                overlap_threshold=0.3, radius=0.05, voxel_size=0.05)
         assert pairs == []
+
+    def test_below_threshold_candidate_runs_one_search(self, monkeypatch):
+        searches = []
+        nearest_many = NeighborIndex.nearest_many
+
+        def counting(index, queries, *args, **kwargs):
+            searches.append(len(queries))
+            return nearest_many(index, queries, *args, **kwargs)
+
+        monkeypatch.setattr(NeighborIndex, "nearest_many", counting)
+        kw = dict(stride=1, overlap_threshold=0.3, radius=0.05, voxel_size=0.05)
+        assert generate_pairs([self._flat_frame(), self._flat_frame(shift=500.0)], **kw) == []
+        assert len(searches) == 1  # x1 -> x2 finds nothing; x2 -> x1 cannot change that
+        searches.clear()
+        assert len(generate_pairs([self._flat_frame(), self._flat_frame()], **kw)) == 1
+        assert len(searches) == 2
 
     def test_stride_selects_frames(self):
         frames = [self._flat_frame(), self._flat_frame(500.0), self._flat_frame()]

@@ -1,9 +1,11 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 from pointpair.augment import AugmentationConfig
+from pointpair.errors import FormatError
 from pointpair.frames import SyntheticSceneSpec, synthesize_scene
 from pointpair.geometry import PointCloud
 from pointpair.losses import LossConfig
@@ -235,10 +237,20 @@ class TestCheckpoint:
         other = TrainConfig.from_dict(
             cfg.to_dict() | {"unet": UNetConfig(levels=1, channels=(4,), in_dim=1, out_dim=8).to_dict()}
         )
-        from pointpair.errors import FormatError
-
         with pytest.raises(FormatError):
             train(small_corpus, other, resume=str(tmp_path / "checkpoint_final.ckpt"))
+
+    def test_every_truncation_raises_format_error(self, small_corpus, tmp_path):
+        unet = UNetConfig(levels=2, channels=(2, 3), kernel_size=1, in_dim=1, out_dim=2)
+        cfg = dataclasses.replace(_tiny_cfg(max_iters=1), unet=unet)
+        train(small_corpus, cfg, out_dir=str(tmp_path))
+        blob = (tmp_path / "checkpoint_final.ckpt").read_bytes()
+        load_checkpoint(str(tmp_path / "checkpoint_final.ckpt"))
+        cut = tmp_path / "cut.ckpt"
+        for size in range(len(blob)):
+            cut.write_bytes(blob[:size])
+            with pytest.raises(FormatError):
+                load_checkpoint(str(cut))
 
 
 class TestLogRecord:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointpair.geometry import PointCloud, RigidScaleTransform, apply_transform
 from pointpair.voxel import (
@@ -9,6 +11,7 @@ from pointpair.voxel import (
     devoxelize,
     first_point_indices,
     pack_coords,
+    pack_shifted,
     quantize,
     unpack_coords,
     voxel_hash_lookup,
@@ -125,6 +128,70 @@ class TestVoxelHash:
     def test_pack_unpack_roundtrip(self, rng):
         coords = rng.integers(-(1 << 19), 1 << 19, (1000, 3)).astype(np.int64)
         np.testing.assert_array_equal(unpack_coords(pack_coords(coords)), coords)
+
+
+_LIMIT = 1 << 20  # packed coordinates lie in [-2^20, 2^20)
+# small values and both ends of the packing range, so shifted queries cross it
+_axis = st.one_of(
+    st.integers(-3, 3), st.integers(-_LIMIT, -_LIMIT + 2), st.integers(_LIMIT - 3, _LIMIT - 1)
+)
+_coord = st.tuples(_axis, _axis, _axis)
+
+
+def _in_range(c) -> bool:
+    return all(-_LIMIT <= v < _LIMIT for v in c)
+
+
+class TestSortedKeyLookup:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stored=st.lists(_coord, max_size=40, unique=True),
+        queries=st.lists(_coord, max_size=40),
+        offsets=st.lists(st.tuples(*[st.integers(-2, 2)] * 3), max_size=6),
+    )
+    def test_matches_dict(self, stored, queries, offsets):
+        table = {c: row for row, c in enumerate(stored)}  # stored order is unsorted
+        h = VoxelHashMap(np.array(stored, dtype=np.int64).reshape(-1, 3))
+        q = np.array(queries, dtype=np.int64).reshape(-1, 3)
+        got = h.lookup(q)
+        assert got.dtype == np.int64 and got.shape == (len(queries),)
+        assert got.tolist() == [table.get(c, -1) for c in queries]
+
+        shifted = [tuple(a + b for a, b in zip(c, o)) for o in offsets for c in queries]
+        if all(_in_range(c) for c in shifted):
+            got = h.lookup(q, np.array(offsets, dtype=np.int64).reshape(-1, 3))
+            assert got.dtype == np.int64 and got.shape == (len(shifted),)
+            assert got.tolist() == [table.get(c, -1) for c in shifted]
+        else:
+            with pytest.raises(ValueError):
+                h.lookup(q, np.array(offsets, dtype=np.int64))
+
+    def test_empty_map(self):
+        h = VoxelHashMap(np.zeros((0, 3), dtype=np.int64))
+        np.testing.assert_array_equal(h.lookup(np.array([[0, 0, 0], [1, 2, 3]])), [-1, -1])
+        assert h.lookup(np.zeros((0, 3), dtype=np.int64)).shape == (0,)
+
+    def test_largest_packed_key(self):
+        top = np.array([[_LIMIT - 1] * 3], dtype=np.int64)  # packs to the largest int64
+        assert VoxelHashMap(np.zeros((1, 3), dtype=np.int64)).lookup(top)[0] == -1
+        h = VoxelHashMap(np.concatenate([top, np.zeros((1, 3), dtype=np.int64)]))
+        np.testing.assert_array_equal(h.lookup(np.array([[0, 0, 0], [_LIMIT - 1] * 3])), [1, 0])
+
+    def test_no_borrow_across_fields_at_the_limit(self):
+        # z = 2^20 - 1 plus one would carry into y and hit the stored (0, 1, -2^20)
+        coords = np.array([[0, 0, _LIMIT - 1], [0, 1, -_LIMIT]], dtype=np.int64)
+        h = VoxelHashMap(coords)
+        with pytest.raises(ValueError):
+            h.lookup(coords[:1], np.array([[0, 0, 1]]))
+        with pytest.raises(ValueError):
+            pack_shifted(coords[1:], np.array([[0, 0, -1]]))
+        np.testing.assert_array_equal(h.lookup(coords, np.array([[0, 0, 0]])), [0, 1])
+
+    def test_pack_shifted_equals_packing_the_shifted_coordinates(self, rng):
+        coords = rng.integers(-50, 50, (200, 3))
+        offs = rng.integers(-3, 4, (7, 3))
+        want = np.concatenate([pack_coords(coords + o) for o in offs])
+        np.testing.assert_array_equal(pack_shifted(coords, offs), want)
 
 
 class TestMatchCollapse:
