@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigMixin
 from .geometry import PointCloud, RigidScaleTransform, rotation_about_axis
 
 
 @dataclass(frozen=True)
-class AugmentationConfig:
+class AugmentationConfig(ConfigMixin):
     rotation_enabled: bool = True
     scale_min: float = 0.8
     scale_max: float = 1.2

@@ -16,14 +16,13 @@ completion.  Exit codes: 0 success, 1 validation error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import configparser
+import dataclasses
 import json
 import os
 import sys
 import time
 
 from . import __version__
-from .augment import AugmentationConfig
 from .errors import ConfigError, PointPairError
 from .evaluate import (
     FmrConfig,
@@ -34,8 +33,7 @@ from .evaluate import (
     write_report,
 )
 from .frames import SyntheticSceneSpec, read_frame, synthesize_scene, write_frame
-from .losses import LossConfig
-from .net.unet import UNet, UNetConfig
+from .net.unet import UNet
 from .pairs import generate_pairs, read_pair, revalidate_pair, write_pair
 from .train import TrainConfig, load_checkpoint, train
 from .verify import run_suite
@@ -70,107 +68,12 @@ def _atomic_write(path: str, writer) -> None:
     os.replace(tmp, path)
 
 
-def _require(cp: configparser.ConfigParser, section: str, key: str, cast):
-    if not cp.has_section(section):
-        raise ConfigError(f"missing config section [{section}]")
-    if not cp.has_option(section, key):
-        raise ConfigError(f"missing config key '{key}' in section [{section}]")
-    raw = cp.get(section, key)
-    try:
-        if cast is bool:
-            return cp.getboolean(section, key)
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
-
-
-def _int_tuple(raw: str) -> tuple[int, ...]:
-    return tuple(int(v.strip()) for v in raw.split(","))
-
-
-def _float_tuple(raw: str) -> tuple[float, ...]:
-    return tuple(float(v.strip()) for v in raw.split(","))
-
-
-def _config_parser() -> configparser.ConfigParser:
-    return configparser.ConfigParser(inline_comment_prefixes=(";",))
-
-
 def load_train_config(path: str) -> TrainConfig:
-    cp = _config_parser()
-    if not cp.read(path):
-        raise ConfigError(f"cannot read config file '{path}'")
-    loss = LossConfig(
-        variant=_require(cp, "loss", "variant", str),
-        tau=_require(cp, "loss", "tau", float),
-        ns=_require(cp, "loss", "ns", int),
-        m_p=_require(cp, "loss", "m_p", float),
-        m_n=_require(cp, "loss", "m_n", float),
-        pos_sample=_require(cp, "loss", "pos_sample", int),
-        hardest_neg_sample=_require(cp, "loss", "hardest_neg_sample", int),
-        normalize_features=_require(cp, "loss", "normalize_features", bool),
-        neg_exclude_radius=_require(cp, "loss", "neg_exclude_radius", float),
-    )
-    augment = AugmentationConfig(
-        rotation_enabled=_require(cp, "augment", "rotation_enabled", bool),
-        scale_min=_require(cp, "augment", "scale_min", float),
-        scale_max=_require(cp, "augment", "scale_max", float),
-        jitter_sigma=_require(cp, "augment", "jitter_sigma", float),
-        dropout_fraction=_require(cp, "augment", "dropout_fraction", float),
-        rng_seed=_require(cp, "augment", "rng_seed", int),
-    )
-    unet = UNetConfig(
-        levels=_require(cp, "unet", "levels", int),
-        channels=_require(cp, "unet", "channels", _int_tuple),
-        blocks_per_level=_require(cp, "unet", "blocks_per_level", int),
-        kernel_size=_require(cp, "unet", "kernel_size", int),
-        in_dim=_require(cp, "unet", "in_dim", int),
-        out_dim=_require(cp, "unet", "out_dim", int),
-        bn_epsilon=_require(cp, "unet", "bn_epsilon", float),
-        bn_momentum=_require(cp, "unet", "bn_momentum", float),
-    )
-    try:
-        return TrainConfig(
-            max_iters=_require(cp, "train", "max_iters", int),
-            base_lr=_require(cp, "train", "base_lr", float),
-            lr_power=_require(cp, "train", "lr_power", float),
-            momentum=_require(cp, "train", "momentum", float),
-            weight_decay=_require(cp, "train", "weight_decay", float),
-            voxel_size=_require(cp, "train", "voxel_size", float),
-            seed=_require(cp, "train", "seed", int),
-            grad_accum=_require(cp, "train", "grad_accum", int),
-            checkpoint_every=_require(cp, "train", "checkpoint_every", int),
-            loss=loss,
-            augment=augment,
-            unet=unet,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return TrainConfig.from_ini(path, "train")
 
 
-def load_scene_spec(path: str, seed_override: int | None = None) -> SyntheticSceneSpec:
-    cp = _config_parser()
-    if not cp.read(path):
-        raise ConfigError(f"cannot read scene spec '{path}'")
-    try:
-        return SyntheticSceneSpec(
-            seed=seed_override if seed_override is not None else _require(cp, "scene", "seed", int),
-            n_boxes=_require(cp, "scene", "n_boxes", int),
-            n_planes=_require(cp, "scene", "n_planes", int),
-            room_size=_require(cp, "scene", "room_size", _float_tuple),
-            box_extent=_require(cp, "scene", "box_extent", _float_tuple),
-            plane_extent=_require(cp, "scene", "plane_extent", _float_tuple),
-            density=_require(cp, "scene", "density", float),
-            n_cameras=_require(cp, "scene", "n_cameras", int),
-            image_width=_require(cp, "scene", "image_width", int),
-            image_height=_require(cp, "scene", "image_height", int),
-            focal=_require(cp, "scene", "focal", float),
-            camera_ring_radius=_require(cp, "scene", "camera_ring_radius", float),
-            camera_height=_require(cp, "scene", "camera_height", float),
-            max_depth=_require(cp, "scene", "max_depth", float),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def load_scene_spec(path: str) -> SyntheticSceneSpec:
+    return SyntheticSceneSpec.from_ini(path, "scene")
 
 
 TRAIN_TEMPLATE = """\
@@ -235,9 +138,11 @@ max_depth = 12.0
 
 
 def cmd_synth(args) -> int:
-    spec = load_scene_spec(args.spec, args.seed)
+    spec = load_scene_spec(args.spec)
+    if args.seed is not None:
+        spec = dataclasses.replace(spec, seed=args.seed)
     names = [f"frame_{i:04d}.pcfd" for i in range(spec.n_cameras)]
-    _write_manifest(args.out, "synth", spec.__dict__ | {"spec_file": args.spec}, spec.seed, names)
+    _write_manifest(args.out, "synth", spec.to_dict() | {"spec_file": args.spec}, spec.seed, names)
     frames = synthesize_scene(spec)
     for name, frame in zip(names, frames):
         _atomic_write(os.path.join(args.out, name), lambda fh, f=frame: write_frame(f, fh))
@@ -288,7 +193,7 @@ def _load_pairs(pairs_dir: str):
 def cmd_pretrain(args) -> int:
     cfg = load_train_config(args.config)
     if args.seed is not None:
-        cfg = TrainConfig.from_dict(cfg.to_dict() | {"seed": args.seed})
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     artifacts = ["checkpoint_final.ckpt", "train_log.csv"]
     _write_manifest(args.out, "pretrain", cfg.to_dict(), cfg.seed, artifacts)
     corpus = _load_pairs(args.pairs)
@@ -304,9 +209,8 @@ def cmd_pretrain(args) -> int:
 def cmd_eval(args) -> int:
     fmr_cfg = FmrConfig(args.inlier_distance, args.inlier_ratio)
     params, echo, _ = load_checkpoint(args.checkpoint)
-    unet_cfg = UNetConfig.from_dict(echo["unet"])
-    voxel_size = float(echo["voxel_size"])
-    normalize = bool(echo["loss"]["normalize_features"])
+    cfg = TrainConfig.from_dict(echo)
+    unet_cfg, voxel_size, normalize = cfg.unet, cfg.voxel_size, cfg.loss.normalize_features
     config_echo = {
         "checkpoint": args.checkpoint,
         "pairs_dir": args.pairs,
@@ -328,7 +232,7 @@ def cmd_eval(args) -> int:
     write_report(args.out, report, fmr_cfg)
     print(f"FMR {report.fmr:.4f} (mean hit ratio {report.mean_hit_ratio:.4f}) over {len(pairs)} pairs")
     if args.features == "model":
-        rand_params = UNet(unet_cfg).init_params(int(echo.get("seed", 0)) + 1)
+        rand_params = UNet(unet_cfg).init_params(cfg.seed + 1)
         rand_fn = model_feature_fn(rand_params, unet_cfg, voxel_size, normalize)
         rand = feature_match_recall(pairs, rand_fn, fmr_cfg, voxel_size, ids)
         print(

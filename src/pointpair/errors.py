@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the binary-file helpers
+that turn a short file into a FormatError."""
+
+import contextlib
+import struct
 
 
 class PointPairError(Exception):
@@ -23,3 +27,26 @@ class FormatError(PointPairError):
 
 class ConfigError(PointPairError):
     """A configuration file or value failed validation."""
+
+
+def read_exact(fh, size: int, what: str) -> bytes:
+    """Exactly `size` bytes from `fh`; FormatError if the file ends first."""
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise FormatError(f"truncated {what}: expected {size} bytes, got {len(raw)}")
+    return raw
+
+
+def read_struct(fh, fmt: str, what: str) -> tuple:
+    return struct.unpack(fmt, read_exact(fh, struct.calcsize(fmt), what))
+
+
+@contextlib.contextmanager
+def binary_stream(target, mode: str):
+    """`target` itself if it is a file object, else the file it names opened
+    in `mode` ("rb" or "wb")."""
+    if hasattr(target, "read" if mode == "rb" else "write"):
+        yield target
+    else:
+        with open(target, mode) as fh:
+            yield fh

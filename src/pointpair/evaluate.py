@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import pairwise_sq_dists
 from .losses import l2_normalize_rows_with_grad
 from .net.unet import UNet, UNetConfig
 from .net.params import ParameterSet
@@ -57,11 +58,6 @@ def voxelize_pair(pair: ScenePair, voxel_size: float) -> VoxelizedPair:
     return VoxelizedPair(s1, s2, rows, rep1, rep2)
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
-    return np.maximum(sq, 0.0)
-
-
 def hit_ratio(
     pair: ScenePair,
     f1: np.ndarray,
@@ -82,7 +78,7 @@ def hit_ratio(
         raise ValueError("features are not row-aligned with the voxelized views")
     src = vp.row_matches[:, 0]
     gt = vp.row_matches[:, 1]
-    j_hat = _sq_dists(f1[src], f2).argmin(axis=1)  # ties: lowest row index
+    j_hat = pairwise_sq_dists(f1[src], f2).argmin(axis=1)  # ties: lowest row index
     err = np.linalg.norm(vp.rep2[j_hat] - vp.rep2[gt], axis=1)
     return float(np.count_nonzero(err <= inlier_distance)) / src.shape[0]
 

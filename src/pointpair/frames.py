@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyViewError, FormatError
+from .config import ConfigMixin
+from .errors import EmptyViewError, FormatError, binary_stream, read_exact, read_struct
 from .geometry import PointCloud
 
 _FRAME_MAGIC = b"PCFD"
@@ -86,35 +87,24 @@ def write_frame(frame: DepthFrame, target) -> None:
     blob += struct.pack("<4d", frame.fx, frame.fy, frame.cx, frame.cy)
     blob += frame.pose.astype("<f8").tobytes()
     blob += frame.depth.astype("<f4").tobytes()
-    if hasattr(target, "write"):
-        target.write(bytes(blob))
-    else:
-        with open(target, "wb") as fh:
-            fh.write(bytes(blob))
+    with binary_stream(target, "wb") as fh:
+        fh.write(bytes(blob))
 
 
 def read_frame(source) -> DepthFrame:
-    if hasattr(source, "read"):
-        return _read_frame_stream(source)
-    with open(source, "rb") as fh:
-        return _read_frame_stream(fh)
-
-
-def _read_frame_stream(fh) -> DepthFrame:
-    if fh.read(4) != _FRAME_MAGIC:
-        raise FormatError("bad frame magic; expected PCFD")
-    h, w = struct.unpack("<II", fh.read(8))
-    fx, fy, cx, cy = struct.unpack("<4d", fh.read(32))
-    pose = np.frombuffer(fh.read(128), dtype="<f8").reshape(4, 4).copy()
-    raw = fh.read(4 * h * w)
-    if len(raw) != 4 * h * w:
-        raise FormatError("truncated frame depth payload")
+    with binary_stream(source, "rb") as fh:
+        if fh.read(4) != _FRAME_MAGIC:
+            raise FormatError("bad frame magic; expected PCFD")
+        h, w = read_struct(fh, "<II", "frame size")
+        fx, fy, cx, cy = read_struct(fh, "<4d", "frame intrinsics")
+        pose = np.frombuffer(read_exact(fh, 128, "frame pose"), dtype="<f8").reshape(4, 4).copy()
+        raw = read_exact(fh, 4 * h * w, "frame depth payload")
     depth = np.frombuffer(raw, dtype="<f4").reshape(h, w).astype(np.float64)
     return DepthFrame(depth, fx, fy, cx, cy, pose)
 
 
 @dataclass(frozen=True)
-class SyntheticSceneSpec:
+class SyntheticSceneSpec(ConfigMixin):
     """Deterministic recipe for a synthetic room scene.
 
     Equal specs (including the seed) produce bit-identical frames.  Surfaces

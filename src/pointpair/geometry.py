@@ -152,6 +152,13 @@ def brute_force_nearest(pc: PointCloud, query) -> tuple[int, float]:
     return idx, float(np.sqrt(sq[idx]))
 
 
+def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) squared Euclidean distances between row vectors,
+    via the Gram expansion and clamped at 0 against rounding."""
+    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+    return np.maximum(sq, 0.0)
+
+
 _OFFSETS = np.array([-1.0, 0.0, 1.0])
 _QUERY_BLOCK = 4096  # queries whose cell ranges are held at once
 _MAX_CANDIDATES = 1 << 18  # (query, reference) distance rows held at once

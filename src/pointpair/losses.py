@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigMixin
+from .geometry import pairwise_sq_dists
 from .pairs import CorrespondenceMap
 
 log = logging.getLogger(__name__)
@@ -39,7 +41,7 @@ _TINY = 1e-12
 
 
 @dataclass(frozen=True)
-class LossConfig:
+class LossConfig(ConfigMixin):
     variant: str = VARIANT_INFO_NCE
     tau: float = 0.07
     ns: int = 4096  # matched-pair subsample for info_nce
@@ -65,23 +67,6 @@ class LossConfig:
             raise ValueError("pos_sample >= 1 and hardest_neg_sample >= 0 required")
         if self.neg_exclude_radius < 0:
             raise ValueError("neg_exclude_radius must be non-negative")
-
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "tau": self.tau,
-            "ns": self.ns,
-            "m_p": self.m_p,
-            "m_n": self.m_n,
-            "pos_sample": self.pos_sample,
-            "hardest_neg_sample": self.hardest_neg_sample,
-            "normalize_features": self.normalize_features,
-            "neg_exclude_radius": self.neg_exclude_radius,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LossConfig":
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -231,11 +216,6 @@ class HardestContrastiveResult:
     grad_neg2: np.ndarray | None
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
-    return np.maximum(sq, 0.0)
-
-
 def _mine_hardest(anchors, partner_src, pool: NegativePool, partner_pos=None,
                   pool_pos=None, exclude_radius=0.0):
     """Per-anchor hardest pool candidate, partner excluded.
@@ -245,10 +225,10 @@ def _mine_hardest(anchors, partner_src, pool: NegativePool, partner_pos=None,
     Returns (argmin pool row, min distance, validity mask); an anchor whose
     whole pool is excluded is invalid.
     """
-    dist = np.sqrt(_sq_dists(anchors, pool.features))
+    dist = np.sqrt(pairwise_sq_dists(anchors, pool.features))
     dist[pool.sources[None, :] == partner_src[:, None]] = np.inf  # exclude the partner
     if exclude_radius > 0.0 and partner_pos is not None and pool_pos is not None:
-        gap = np.sqrt(_sq_dists(partner_pos, pool_pos))
+        gap = np.sqrt(pairwise_sq_dists(partner_pos, pool_pos))
         dist[gap <= exclude_radius] = np.inf
     arg = dist.argmin(axis=1)  # ties: lowest pool index
     dmin = dist[np.arange(dist.shape[0]), arg]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import FormatError
+from ..errors import FormatError, binary_stream, read_exact, read_struct
 
 _PARAMS_MAGIC = b"PCCK"
 
@@ -108,18 +108,6 @@ def _write_tensor(fh, name: str, tensor: np.ndarray) -> None:
     fh.write(tensor.astype("<f8").tobytes())
 
 
-def read_exact(fh, size: int, what: str) -> bytes:
-    """Exactly `size` bytes from `fh`; FormatError if the file ends first."""
-    raw = fh.read(size)
-    if len(raw) != size:
-        raise FormatError(f"truncated {what}: expected {size} bytes, got {len(raw)}")
-    return raw
-
-
-def read_struct(fh, fmt: str, what: str) -> tuple:
-    return struct.unpack(fmt, read_exact(fh, struct.calcsize(fmt), what))
-
-
 def _read_tensor(fh) -> tuple[str, np.ndarray]:
     (name_len,) = read_struct(fh, "<H", "tensor name length")
     try:
@@ -146,36 +134,23 @@ def read_tensor_section(fh) -> dict[str, np.ndarray]:
 
 def save_params(target, params: ParameterSet, config_echo: dict) -> None:
     """Write a PCCK parameter file (config echo as JSON, tensors by name)."""
-    if hasattr(target, "write"):
-        _save_params_stream(target, params, config_echo)
-    else:
-        with open(target, "wb") as fh:
-            _save_params_stream(fh, params, config_echo)
-
-
-def _save_params_stream(fh, params: ParameterSet, config_echo: dict) -> None:
-    fh.write(_PARAMS_MAGIC)
     blob = json.dumps(config_echo, sort_keys=True).encode("utf-8")
-    fh.write(struct.pack("<I", len(blob)))
-    fh.write(blob)
-    write_tensor_section(fh, params.tensors)
+    with binary_stream(target, "wb") as fh:
+        fh.write(_PARAMS_MAGIC)
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        write_tensor_section(fh, params.tensors)
 
 
 def load_params(source) -> tuple[ParameterSet, dict]:
-    if hasattr(source, "read"):
-        return _load_params_stream(source)
-    with open(source, "rb") as fh:
-        return _load_params_stream(fh)
-
-
-def _load_params_stream(fh) -> tuple[ParameterSet, dict]:
-    if fh.read(4) != _PARAMS_MAGIC:
-        raise FormatError("bad parameter file magic; expected PCCK")
-    (blob_len,) = read_struct(fh, "<I", "config length")
-    try:
-        config_echo = json.loads(read_exact(fh, blob_len, "config JSON"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise FormatError(f"config JSON is malformed: {exc}") from exc
-    params = ParameterSet(read_tensor_section(fh))
+    with binary_stream(source, "rb") as fh:
+        if fh.read(4) != _PARAMS_MAGIC:
+            raise FormatError("bad parameter file magic; expected PCCK")
+        (blob_len,) = read_struct(fh, "<I", "config length")
+        try:
+            config_echo = json.loads(read_exact(fh, blob_len, "config JSON"))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise FormatError(f"config JSON is malformed: {exc}") from exc
+        params = ParameterSet(read_tensor_section(fh))
     params.validate_finite()
     return params, config_echo

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..config import ConfigMixin
 from ..voxel import SparseVoxelTensor
 from .layers import (
     BnTape,
@@ -40,7 +41,7 @@ from .params import GradientSet, ParameterSet, is_trainable
 
 
 @dataclass(frozen=True)
-class UNetConfig:
+class UNetConfig(ConfigMixin):
     """Desk-scale topology knobs for the sparse residual U-Net."""
 
     levels: int = 3
@@ -63,24 +64,6 @@ class UNetConfig:
             raise ValueError("kernel_size must be odd")
         if self.blocks_per_level < 1 or self.in_dim < 1 or self.out_dim < 1:
             raise ValueError("blocks_per_level, in_dim and out_dim must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "levels": self.levels,
-            "channels": list(self.channels),
-            "blocks_per_level": self.blocks_per_level,
-            "kernel_size": self.kernel_size,
-            "in_dim": self.in_dim,
-            "out_dim": self.out_dim,
-            "bn_epsilon": self.bn_epsilon,
-            "bn_momentum": self.bn_momentum,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "UNetConfig":
-        d = dict(d)
-        d["channels"] = tuple(d["channels"])
-        return cls(**d)
 
 
 class _ConvBnRelu:

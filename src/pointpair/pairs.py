@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import EmptyViewError, FormatError, binary_stream, read_exact, read_struct
 from .frames import DepthFrame, backproject
-from .errors import EmptyViewError
 from .geometry import PointCloud, build_index
 from .ply import ply_bytes, read_ply
 from .voxel import quantize, first_point_indices
@@ -179,31 +178,20 @@ def write_pair(pair: ScenePair, target) -> None:
     blob += struct.pack("<Q", m.shape[0])
     blob += m.astype("<u4").tobytes()
     blob += struct.pack("<d", pair.overlap)
-    if hasattr(target, "write"):
-        target.write(bytes(blob))
-    else:
-        with open(target, "wb") as fh:
-            fh.write(bytes(blob))
+    with binary_stream(target, "wb") as fh:
+        fh.write(bytes(blob))
 
 
 def read_pair(source, scene_id: str = "", frame_ids: tuple[int, int] = (0, 1)) -> ScenePair:
-    if hasattr(source, "read"):
-        return _read_pair_stream(source, scene_id, frame_ids)
-    with open(source, "rb") as fh:
-        return _read_pair_stream(fh, scene_id, frame_ids)
-
-
-def _read_pair_stream(fh, scene_id, frame_ids) -> ScenePair:
-    if fh.read(4) != _PAIR_MAGIC:
-        raise FormatError("bad pair magic; expected PCPR")
-    x1 = read_ply(fh)
-    x2 = read_ply(fh)
-    (count,) = struct.unpack("<Q", fh.read(8))
-    raw = fh.read(8 * count)
-    if len(raw) != 8 * count:
-        raise FormatError("truncated match payload")
+    with binary_stream(source, "rb") as fh:
+        if fh.read(4) != _PAIR_MAGIC:
+            raise FormatError("bad pair magic; expected PCPR")
+        x1 = read_ply(fh)
+        x2 = read_ply(fh)
+        (count,) = read_struct(fh, "<Q", "match count")
+        raw = read_exact(fh, 8 * count, "match payload")
+        (overlap,) = read_struct(fh, "<d", "pair overlap")
     matches = np.frombuffer(raw, dtype="<u4").reshape(count, 2).astype(np.int64)
-    (overlap,) = struct.unpack("<d", fh.read(8))
     return ScenePair(x1, x2, CorrespondenceMap(matches), overlap, scene_id, frame_ids)
 
 

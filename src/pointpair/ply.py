@@ -12,7 +12,7 @@ import io
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, binary_stream, read_exact
 from .geometry import PointCloud
 
 _FLOAT_NAMES = {"float", "float32"}
@@ -36,25 +36,18 @@ def _header_lines(n_points: int, feature_dim: int, binary: bool) -> list[str]:
 
 def write_ply(pc: PointCloud, target, binary: bool = True) -> None:
     """Write `pc` to `target` (a path or a binary file object)."""
-    if hasattr(target, "write"):
-        _write_ply_stream(pc, target, binary)
-    else:
-        with open(target, "wb") as fh:
-            _write_ply_stream(pc, fh, binary)
-
-
-def _write_ply_stream(pc: PointCloud, fh, binary: bool) -> None:
     dim = pc.feature_dim or 0
     rows = pc.points.astype(np.float32)
     if dim:
         rows = np.hstack([rows, pc.features.astype(np.float32)])
     header = "\n".join(_header_lines(len(pc), dim, binary)) + "\n"
-    fh.write(header.encode("ascii"))
-    if binary:
-        fh.write(rows.astype("<f4").tobytes())
-    else:
-        for row in rows:
-            fh.write((" ".join(f"{v:.9g}" for v in row) + "\n").encode("ascii"))
+    with binary_stream(target, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        if binary:
+            fh.write(rows.astype("<f4").tobytes())
+        else:
+            for row in rows:
+                fh.write((" ".join(f"{v:.9g}" for v in row) + "\n").encode("ascii"))
 
 
 def read_ply(source) -> PointCloud:
@@ -63,9 +56,7 @@ def read_ply(source) -> PointCloud:
     Only ``vertex`` elements with float32 properties x, y, z and optional
     f0..f{D-1} are accepted; anything else raises FormatError.
     """
-    if hasattr(source, "read"):
-        return _read_ply_stream(source)
-    with open(source, "rb") as fh:
+    with binary_stream(source, "rb") as fh:
         return _read_ply_stream(fh)
 
 
@@ -124,9 +115,7 @@ def _read_ply_stream(fh) -> PointCloud:
 
     width = len(props)
     if binary:
-        raw = fh.read(4 * width * n_points)
-        if len(raw) != 4 * width * n_points:
-            raise FormatError("truncated PLY payload")
+        raw = read_exact(fh, 4 * width * n_points, "PLY payload")
         rows = np.frombuffer(raw, dtype="<f4").reshape(n_points, width)
     else:
         rows = np.empty((n_points, width), dtype=np.float32)

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augment import AugmentationConfig, dropout_points, jitter_points, sample_transform
-from .errors import DegenerateBatchError, FormatError, PointPairError
+from .config import ConfigMixin
+from .errors import ConfigError, DegenerateBatchError, FormatError, PointPairError, read_struct
 from .geometry import apply_transform
 from .losses import (
     LossConfig,
@@ -42,7 +43,6 @@ from .net.params import (
     ParameterSet,
     is_trainable,
     load_params,
-    read_struct,
     read_tensor_section,
     save_params,
     write_tensor_section,
@@ -61,7 +61,7 @@ class SkipStep(PointPairError):
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(ConfigMixin):
     max_iters: int = 500
     base_lr: float = 0.8
     lr_power: float = 0.9
@@ -82,37 +82,6 @@ class TrainConfig:
             raise ValueError("base_lr must be positive")
         if self.grad_accum < 1:
             raise ValueError("grad_accum must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "max_iters": self.max_iters,
-            "base_lr": self.base_lr,
-            "lr_power": self.lr_power,
-            "momentum": self.momentum,
-            "weight_decay": self.weight_decay,
-            "voxel_size": self.voxel_size,
-            "seed": self.seed,
-            "grad_accum": self.grad_accum,
-            "checkpoint_every": self.checkpoint_every,
-            "loss": self.loss.to_dict(),
-            "augment": {
-                "rotation_enabled": self.augment.rotation_enabled,
-                "scale_min": self.augment.scale_min,
-                "scale_max": self.augment.scale_max,
-                "jitter_sigma": self.augment.jitter_sigma,
-                "dropout_fraction": self.augment.dropout_fraction,
-                "rng_seed": self.augment.rng_seed,
-            },
-            "unet": self.unet.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        d["loss"] = LossConfig.from_dict(d["loss"])
-        d["augment"] = AugmentationConfig(**d["augment"])
-        d["unet"] = UNetConfig.from_dict(d["unet"])
-        return cls(**d)
 
 
 @dataclass
@@ -292,14 +261,23 @@ def train_step(
     """One full optimization step on one pair (both views share `params`)."""
     t0 = time.perf_counter()
     outcome = forward_backward(pair, params, cfg, unet, rng)
-    for tape in outcome.tapes:
+    return _optimizer_step(
+        params, outcome.grads, outcome.tapes, state, cfg, outcome.loss, outcome.collapse, t0
+    )
+
+
+def _optimizer_step(params, grads, tapes, state, cfg, loss, collapse, t0) -> TrainLogRecord:
+    """The post-backward work of one step: fold the tapes' BN statistics in,
+    take the SGD step at the scheduled rate, advance the iteration and return
+    its log record (`t0` is the step's start time)."""
+    for tape in tapes:
         commit_bn_stats(params, tape, cfg.unet.bn_momentum)
-    lr = poly_lr(state.iteration, cfg)
-    sgd_step(params, outcome.grads, state, lr, cfg.momentum, cfg.weight_decay)
     it = state.iteration
-    state.iteration += 1
+    lr = poly_lr(it, cfg)
+    sgd_step(params, grads, state, lr, cfg.momentum, cfg.weight_decay)
+    state.iteration = it + 1
     millis = int((time.perf_counter() - t0) * 1000)
-    return TrainLogRecord(it, lr, outcome.loss, outcome.collapse, millis)
+    return TrainLogRecord(it, lr, loss, collapse, millis)
 
 
 @dataclass
@@ -360,10 +338,13 @@ def train(
         os.makedirs(out_dir, exist_ok=True)
     unet = UNet(cfg.unet)
     if resume is not None:
-        params, _, state = load_checkpoint(resume)
+        params, echo, state = load_checkpoint(resume)
         expected = {name for name, _ in unet.param_specs()}
         if set(params.tensors) != expected:
             raise FormatError("checkpoint parameters do not match the configured network")
+        key = TrainConfig.from_dict(echo).first_difference(cfg)
+        if key is not None:
+            raise ConfigError(f"checkpoint config differs from the current config at '{key}'")
     else:
         params = unet.init_params(cfg.seed)
         state = OptimizerState.zeros(params)
@@ -394,14 +375,9 @@ def train(
             produced += 1
             tapes.extend(outcome.tapes)
         if produced:
-            for tape in tapes:
-                commit_bn_stats(params, tape, cfg.unet.bn_momentum)
-            lr = poly_lr(it, cfg)
-            sgd_step(params, total, state, lr, cfg.momentum, cfg.weight_decay)
-            millis = int((time.perf_counter() - t0) * 1000)
-            records.append(
-                TrainLogRecord(it, lr, loss_sum / produced, collapse_sum / produced, millis)
-            )
+            records.append(_optimizer_step(
+                params, total, tapes, state, cfg, loss_sum / produced, collapse_sum / produced, t0
+            ))
         state.iteration = it + 1
         if out_dir and cfg.checkpoint_every and (it + 1) % cfg.checkpoint_every == 0:
             save_checkpoint(

@@ -80,6 +80,34 @@ class TestTemplates:
         assert cli.load_scene_spec("scene.ini").plane_extent == (0.1, 0.2)
 
 
+class TestStrictIni:
+    @pytest.mark.parametrize("edit, name", [
+        (("[unet]", "[unet]\nbogus_key = 7"), "bogus_key"),
+        (("[loss]", "[extra]\nkey = 1\n\n[loss]"), "[extra]"),
+    ])
+    def test_train_ini_rejects_unknown_names(self, workdir, capsys, edit, name):
+        _write_train(workdir / "train.ini")
+        text = (workdir / "train.ini").read_text()
+        (workdir / "train.ini").write_text(text.replace(*edit))
+        rc = cli.main(["pretrain", "--pairs", "nowhere", "--config", "train.ini", "--out", "run"])
+        assert rc == 1
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, name", [
+        (("max_depth = 12.0", "max_depth = 12.0\nbogus_key = 7"), "bogus_key"),
+        (("[scene]", "[extra]\nkey = 1\n\n[scene]"), "[extra]"),
+        (("room_size = 4.0,4.0,2.4", "room_size = 4.0,4.0"), "room_size"),
+    ])
+    def test_scene_ini_rejects_unknown_names_and_short_tuples(self, workdir, capsys, edit, name):
+        _write_scene(workdir / "scene.ini")
+        text = (workdir / "scene.ini").read_text()
+        (workdir / "scene.ini").write_text(text.replace(*edit))
+        rc = cli.main(["synth", "--spec", "scene.ini", "--out", "frames"])
+        assert rc == 1
+        assert name in capsys.readouterr().err
+        assert not os.path.exists(workdir / "frames")
+
+
 class TestSynth:
     def test_same_seed_byte_identical_frames(self, workdir):
         _write_scene(workdir / "scene.ini")

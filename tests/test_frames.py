@@ -90,6 +90,18 @@ class TestFrameFile:
             read_frame(io.BytesIO(buf.getvalue()[:-9]))
 
 
+    def test_every_truncation_raises_format_error(self):
+        spec = SyntheticSceneSpec(seed=3, n_boxes=3, n_planes=0, n_cameras=1,
+                                  image_width=12, image_height=9, focal=10.0)
+        buf = io.BytesIO()
+        write_frame(synthesize_scene(spec)[0], buf)
+        blob = buf.getvalue()
+        read_frame(io.BytesIO(blob))
+        for size in range(len(blob)):
+            with pytest.raises(FormatError):
+                read_frame(io.BytesIO(blob[:size]))
+
+
 class TestSyntheticScenes:
     def test_same_seed_bit_identical(self):
         spec = SyntheticSceneSpec(seed=42, n_boxes=3, n_planes=1, density=400.0, n_cameras=3)

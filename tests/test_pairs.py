@@ -201,6 +201,19 @@ class TestPairFile:
         with pytest.raises(FormatError):
             read_pair(io.BytesIO(b"NOPE" + b"\0" * 50))
 
+    def test_every_truncation_raises_format_error(self):
+        spec = SyntheticSceneSpec(seed=4, n_boxes=4, n_planes=0, n_cameras=2,
+                                  image_width=10, image_height=8, focal=9.0)
+        pair = generate_pairs(synthesize_scene(spec), stride=1, overlap_threshold=0.1,
+                              radius=0.2, voxel_size=0.05)[0]
+        buf = io.BytesIO()
+        write_pair(pair, buf)
+        blob = buf.getvalue()
+        read_pair(io.BytesIO(blob))
+        for size in range(len(blob)):
+            with pytest.raises(FormatError):
+                read_pair(io.BytesIO(blob[:size]))
+
     def test_revalidation_catches_corrupt_overlap(self, rng):
         x1 = PointCloud(rng.uniform(0, 1, (30, 3)).astype(np.float32).astype(np.float64))
         far = PointCloud(x1.points + 50.0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pointpair.augment import AugmentationConfig
-from pointpair.errors import FormatError
+from pointpair.errors import ConfigError, FormatError
 from pointpair.frames import SyntheticSceneSpec, synthesize_scene
 from pointpair.geometry import PointCloud
 from pointpair.losses import LossConfig
@@ -239,6 +239,19 @@ class TestCheckpoint:
         )
         with pytest.raises(FormatError):
             train(small_corpus, other, resume=str(tmp_path / "checkpoint_final.ckpt"))
+
+    @pytest.mark.parametrize("change, key", [
+        ({"seed": 3}, "'seed'"),
+        ({"max_iters": 2}, "'max_iters'"),
+        ({"loss": LossConfig(variant="info_nce", ns=64, tau=0.3, pos_sample=64,
+                             hardest_neg_sample=32)}, "'loss.tau'"),
+    ])
+    def test_resume_rejects_changed_config(self, small_corpus, tmp_path, change, key):
+        cfg = _tiny_cfg(max_iters=1)
+        train(small_corpus, cfg, out_dir=str(tmp_path))
+        with pytest.raises(ConfigError, match=key):
+            train(small_corpus, dataclasses.replace(cfg, **change),
+                  resume=str(tmp_path / "checkpoint_final.ckpt"))
 
     def test_every_truncation_raises_format_error(self, small_corpus, tmp_path):
         unet = UNetConfig(levels=2, channels=(2, 3), kernel_size=1, in_dim=1, out_dim=2)
