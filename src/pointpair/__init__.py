@@ -33,7 +33,7 @@ from .losses import (
     l2_normalize_rows,
     subsample_matches,
 )
-from .net import ParameterSet, GradientSet, UNet, UNetConfig, init_params, unet_forward, unet_backward
+from .net import ParameterSet, GradientSet, UNet, UNetConfig
 from .train import TrainConfig, OptimizerState, TrainLogRecord, poly_lr, sgd_step, train, train_step
 from .evaluate import FmrConfig, feature_match_recall, hit_ratio
 
@@ -73,9 +73,6 @@ __all__ = [
     "GradientSet",
     "UNet",
     "UNetConfig",
-    "init_params",
-    "unet_forward",
-    "unet_backward",
     "TrainConfig",
     "OptimizerState",
     "TrainLogRecord",

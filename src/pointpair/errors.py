@@ -29,12 +29,25 @@ class ConfigError(PointPairError):
     """A configuration file or value failed validation."""
 
 
+# Largest single read: a size taken from a corrupt header is never allocated
+# up front, only as far as the file actually goes (plus one chunk).
+_READ_CHUNK = 1 << 24
+
+
 def read_exact(fh, size: int, what: str) -> bytes:
     """Exactly `size` bytes from `fh`; FormatError if the file ends first."""
-    raw = fh.read(size)
-    if len(raw) != size:
-        raise FormatError(f"truncated {what}: expected {size} bytes, got {len(raw)}")
-    return raw
+    if size < 0:
+        raise FormatError(f"negative size for {what}: {size}")
+    raw = fh.read(min(size, _READ_CHUNK))
+    if len(raw) == size:
+        return raw
+    buf = bytearray(raw)
+    while len(buf) < size and raw:
+        raw = fh.read(min(size - len(buf), _READ_CHUNK))
+        buf += raw
+    if len(buf) != size:
+        raise FormatError(f"truncated {what}: expected {size} bytes, got {len(buf)}")
+    return bytes(buf)
 
 
 def read_struct(fh, fmt: str, what: str) -> tuple:

@@ -1,5 +1,5 @@
 from .params import ParameterSet, GradientSet, save_params, load_params, is_trainable
-from .unet import UNet, UNetConfig, init_params, unet_forward, unet_backward
+from .unet import UNet, UNetConfig
 
 __all__ = [
     "ParameterSet",
@@ -9,7 +9,4 @@ __all__ = [
     "is_trainable",
     "UNet",
     "UNetConfig",
-    "init_params",
-    "unet_forward",
-    "unet_backward",
 ]

@@ -6,8 +6,13 @@ feature at coordinate c is sum_k W[k] . feat(c + offset_k); absent neighbors
 contribute nothing.  Stride-2 convolutions place outputs at the unique
 floor-halved input coordinates with kernel offsets still enumerated in input
 coordinate space; transposed (upsampling) convolutions scatter through the
-adjoint of that coordinate mapping onto a caller-supplied finer coordinate
-set.
+adjoint of that coordinate mapping onto the finer coordinate set.
+
+Every convolution runs through one entry point, `conv_forward(maps, feats,
+kernel, n_out)`, and its adjoint `conv_backward(tape, d_out)`; the kernel map
+alone says which convolution it is (`stride1_maps`, `stride2_maps`, or
+`swap_maps` of a stride-2 map to upsample).  `sparse_conv_forward` is map
+selection plus that call for a single voxel tensor.
 
 Neighbor index maps depend only on coordinates, so they are built once per
 coordinate set (`CoordContext`) and shared by every layer at that resolution.
@@ -135,7 +140,6 @@ class ConvTape:
     maps: OffsetMaps
     feats_in: np.ndarray
     kernel: np.ndarray
-    n_in: int
     used: bool = False
 
     def consume(self) -> None:
@@ -144,10 +148,26 @@ class ConvTape:
         self.used = True
 
 
+def conv_forward(
+    maps: OffsetMaps, feats_in: np.ndarray, kernel: np.ndarray, n_out: int
+) -> tuple[np.ndarray, ConvTape]:
+    """The one convolution entry point: output features over `n_out` rows
+    plus the tape its backward needs.  `maps` selects the convolution:
+    `stride1_maps`, `stride2_maps`, or `swap_maps` of the latter to upsample."""
+    out = conv_apply(maps, feats_in, kernel, n_out)
+    return out, ConvTape(maps, feats_in, kernel)
+
+
+def conv_backward(tape: ConvTape, d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact adjoint of conv_forward: (input grads, kernel grads)."""
+    tape.consume()
+    return conv_grads(tape.maps, tape.feats_in, tape.kernel, d_out, tape.feats_in.shape[0])
+
+
 def sparse_conv_forward(
     inp: SparseVoxelTensor, kernel: np.ndarray, stride: int = 1
 ) -> tuple[SparseVoxelTensor, ConvTape]:
-    """Sparse convolution over a voxel tensor.
+    """Sparse convolution over a voxel tensor, building its maps for this call.
 
     Stride 1 preserves the coordinate set; stride 2 outputs the unique
     floor-halved coordinates.
@@ -159,52 +179,13 @@ def sparse_conv_forward(
         raise ValueError(f"kernel has {kernel.shape[0]} taps, not a perfect cube")
     ctx_in = CoordContext(inp.coords, inp.hash)
     if stride == 1:
+        ctx_out = ctx_in
         maps = ctx_in.stride1_maps(kernel_size)
-        out_coords = inp.coords
-        n_out = ctx_in.n
     else:
-        out_coords = downsample_coords(inp.coords)
-        ctx_out = CoordContext(out_coords)
+        ctx_out = CoordContext(downsample_coords(inp.coords))
         maps = stride2_maps(ctx_in, ctx_out, kernel_size)
-        n_out = out_coords.shape[0]
-    out = conv_apply(maps, inp.features, kernel, n_out)
-    tape = ConvTape(maps, inp.features, kernel, ctx_in.n)
-    return SparseVoxelTensor(out_coords, out, inp.voxel_size), tape
-
-
-def sparse_conv_backward(tape: ConvTape, d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact adjoint of sparse_conv_forward: (input grads, kernel grads)."""
-    tape.consume()
-    return conv_grads(tape.maps, tape.feats_in, tape.kernel, d_out, tape.n_in)
-
-
-def transpose_conv_forward(
-    inp: SparseVoxelTensor, kernel: np.ndarray, target: SparseVoxelTensor | np.ndarray
-) -> tuple[SparseVoxelTensor, ConvTape]:
-    """Stride-2 upsampling onto a stored finer coordinate set.
-
-    `target` supplies the output coordinates (the matching encoder level);
-    features scatter through the adjoint of the downsampling coordinate map.
-    """
-    kernel_size = round(kernel.shape[0] ** (1 / 3))
-    if kernel_size**3 != kernel.shape[0]:
-        raise ValueError(f"kernel has {kernel.shape[0]} taps, not a perfect cube")
-    if isinstance(target, SparseVoxelTensor):
-        ctx_fine = CoordContext(target.coords, target.hash)
-        out_coords = target.coords
-    else:
-        ctx_fine = CoordContext(np.asarray(target, dtype=np.int64))
-        out_coords = ctx_fine.coords
-    ctx_coarse = CoordContext(inp.coords, inp.hash)
-    maps = swap_maps(stride2_maps(ctx_fine, ctx_coarse, kernel_size))
-    out = conv_apply(maps, inp.features, kernel, ctx_fine.n)
-    tape = ConvTape(maps, inp.features, kernel, ctx_coarse.n)
-    return SparseVoxelTensor(out_coords, out, inp.voxel_size), tape
-
-
-def transpose_conv_backward(tape: ConvTape, d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    tape.consume()
-    return conv_grads(tape.maps, tape.feats_in, tape.kernel, d_out, tape.n_in)
+    out, tape = conv_forward(maps, inp.features, kernel, ctx_out.n)
+    return SparseVoxelTensor(ctx_out.coords, out, inp.voxel_size), tape
 
 
 @dataclass

@@ -10,6 +10,7 @@ Parameter file layout (little-endian):
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -116,7 +117,7 @@ def _read_tensor(fh) -> tuple[str, np.ndarray]:
         raise FormatError(f"tensor name is not UTF-8: {exc}") from exc
     (rank,) = read_struct(fh, "<B", f"rank of '{name}'")
     dims = read_struct(fh, f"<{rank}Q", f"shape of '{name}'")
-    count = int(np.prod(dims)) if dims else 1
+    count = math.prod(dims)  # exact: np.prod would wrap a corrupt header's dims
     raw = read_exact(fh, 8 * count, f"tensor payload for '{name}'")
     return name, np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
 

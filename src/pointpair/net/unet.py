@@ -3,10 +3,18 @@
 Encoder: a stem convolution, then per level a stack of residual basic blocks
 followed by a stride-2 convolution down to the next level.  Decoder: per
 level a transposed convolution back onto the stored finer coordinates,
-concatenation with the encoder skip, and a residual block stack.  Every
-convolution is followed by batch normalization and ReLU except the final
-1-tap head that projects to the output feature width.  Convolutions carry no
-bias (the normalization shift absorbs it).
+concatenation with the encoder skip, and a residual block stack.  The stem,
+the down and up convolutions and both halves of a residual block are one
+unit, `ConvBn` (conv -> BN, then ReLU except in a block's second half, whose
+ReLU follows the shortcut sum); only the 1-tap block shortcuts and the final
+1-tap head that projects to the output feature width are bare convolutions.
+Convolutions carry no bias (the normalization shift absorbs it).  Every
+convolution goes through `layers.conv_forward`/`conv_backward` on the kernel
+maps built once per forward pass, one `CoordContext` per level.
+
+Each unit returns a tape with named fields (`ConvBnTape`, `BlockTape`), and
+`UNetTape.units` keeps them by unit name in forward order; the backward pass,
+`relu_masks` and `commit_bn_stats` read them by name.
 
 The output coordinate set always equals the input coordinate set, row for
 row.  Forward passes never mutate the parameter registry; batch-norm batch
@@ -16,7 +24,7 @@ statistics ride on the tape and are folded into the running statistics by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,12 +32,13 @@ from ..config import ConfigMixin
 from ..voxel import SparseVoxelTensor
 from .layers import (
     BnTape,
+    ConvTape,
     CoordContext,
     OffsetMaps,
     batch_norm_backward,
     batch_norm_forward,
-    conv_apply,
-    conv_grads,
+    conv_backward,
+    conv_forward,
     downsample_coords,
     relu_backward,
     relu_forward,
@@ -66,45 +75,71 @@ class UNetConfig(ConfigMixin):
             raise ValueError("blocks_per_level, in_dim and out_dim must be >= 1")
 
 
-class _ConvBnRelu:
-    """conv -> BN -> ReLU unit; `taps` is the kernel tap count."""
+@dataclass
+class ConvBnTape:
+    """What one conv -> BN (-> ReLU) unit's backward needs."""
 
-    def __init__(self, name: str, taps: int, cin: int, cout: int):
-        self.kernel_key = f"{name}.kernel"
-        self.gamma_key = f"{name}.bn.gamma"
-        self.beta_key = f"{name}.bn.beta"
-        self.mean_key = f"{name}.bn.running_mean"
-        self.var_key = f"{name}.bn.running_var"
-        self.taps = taps
-        self.cin = cin
-        self.cout = cout
+    conv: ConvTape
+    bn: BnTape
+    relu_mask: np.ndarray | None  # None when no ReLU follows the BN
+
+    def relu_masks(self) -> list[np.ndarray]:
+        return [] if self.relu_mask is None else [self.relu_mask]
+
+
+@dataclass
+class BlockTape:
+    unit1: ConvBnTape
+    unit2: ConvBnTape
+    shortcut: ConvTape | None  # None for the identity shortcut
+    relu_mask: np.ndarray
+
+    def relu_masks(self) -> list[np.ndarray]:
+        return self.unit1.relu_masks() + self.unit2.relu_masks() + [self.relu_mask]
+
+
+class ConvBn:
+    """conv -> BN (-> ReLU) unit with parameters `kernel_key` and
+    `{bn_name}.gamma|beta|running_mean|running_var`."""
+
+    def __init__(self, kernel_key: str, bn_name: str, shape: tuple, relu: bool = True):
+        self.name = kernel_key.removesuffix(".kernel")
+        self.kernel_key = kernel_key
+        self.gamma_key = f"{bn_name}.gamma"
+        self.beta_key = f"{bn_name}.beta"
+        self.mean_key = f"{bn_name}.running_mean"
+        self.var_key = f"{bn_name}.running_var"
+        self.shape = shape  # (taps, cin, cout)
+        self.relu = relu
 
     def param_specs(self):
-        yield self.kernel_key, (self.taps, self.cin, self.cout)
+        yield self.kernel_key, self.shape
         for key in (self.gamma_key, self.beta_key, self.mean_key, self.var_key):
-            yield key, (self.cout,)
+            yield key, self.shape[2:]
 
     def forward(self, maps, feats, n_out, params, mode, eps):
-        pre = conv_apply(maps, feats, params[self.kernel_key], n_out)
-        normed, bn_tape = batch_norm_forward(
+        pre, conv = conv_forward(maps, feats, params[self.kernel_key], n_out)
+        out, bn = batch_norm_forward(
             pre, params[self.gamma_key], params[self.beta_key],
             params[self.mean_key], params[self.var_key], mode, eps,
         )
-        out, mask = relu_forward(normed)
-        return out, (maps, feats, bn_tape, mask)
+        mask = None
+        if self.relu:
+            out, mask = relu_forward(out)
+        return out, ConvBnTape(conv, bn, mask)
 
-    def backward(self, cache, d_out, params, grads):
-        maps, feats, bn_tape, mask = cache
-        d_normed = relu_backward(mask, d_out)
-        d_pre, d_gamma, d_beta = batch_norm_backward(bn_tape, d_normed)
-        d_in, d_kernel = conv_grads(maps, feats, params[self.kernel_key], d_pre, feats.shape[0])
+    def backward(self, tape: ConvBnTape, d_out, grads):
+        if tape.relu_mask is not None:
+            d_out = relu_backward(tape.relu_mask, d_out)
+        d_pre, d_gamma, d_beta = batch_norm_backward(tape.bn, d_out)
+        d_in, d_kernel = conv_backward(tape.conv, d_pre)
         grads.accumulate(self.kernel_key, d_kernel)
         grads.accumulate(self.gamma_key, d_gamma)
         grads.accumulate(self.beta_key, d_beta)
         return d_in
 
-    def bn_entry(self, cache) -> tuple[str, str, BnTape]:
-        return self.mean_key, self.var_key, cache[2]
+    def bn_entries(self, tape: ConvBnTape):
+        yield self.mean_key, self.var_key, tape.bn
 
 
 class ResidualBlock:
@@ -113,85 +148,40 @@ class ResidualBlock:
 
     def __init__(self, name: str, taps: int, cin: int, cout: int):
         self.name = name
-        self.taps = taps
-        self.cin = cin
-        self.cout = cout
-        self.k1 = f"{name}.conv1.kernel"
-        self.k2 = f"{name}.conv2.kernel"
-        self.bn1 = _BnUnit(f"{name}.bn1", cout)
-        self.bn2 = _BnUnit(f"{name}.bn2", cout)
-        self.ks = f"{name}.shortcut.kernel" if cin != cout else None
+        self.unit1 = ConvBn(f"{name}.conv1.kernel", f"{name}.bn1", (taps, cin, cout))
+        self.unit2 = ConvBn(f"{name}.conv2.kernel", f"{name}.bn2", (taps, cout, cout), relu=False)
+        self.shortcut_key = f"{name}.shortcut.kernel" if cin != cout else None
+        self.shortcut_shape = (1, cin, cout)
 
     def param_specs(self):
-        yield self.k1, (self.taps, self.cin, self.cout)
-        yield from self.bn1.param_specs()
-        yield self.k2, (self.taps, self.cout, self.cout)
-        yield from self.bn2.param_specs()
-        if self.ks:
-            yield self.ks, (1, self.cin, self.cout)
+        yield from self.unit1.param_specs()
+        yield from self.unit2.param_specs()
+        if self.shortcut_key:
+            yield self.shortcut_key, self.shortcut_shape
 
     def forward(self, ctx: CoordContext, kernel_size, feats, params, mode, eps):
         maps = ctx.stride1_maps(kernel_size)
-        pre1 = conv_apply(maps, feats, params[self.k1], ctx.n)
-        n1, t1 = self.bn1.forward(pre1, params, mode, eps)
-        r1, m1 = relu_forward(n1)
-        pre2 = conv_apply(maps, r1, params[self.k2], ctx.n)
-        n2, t2 = self.bn2.forward(pre2, params, mode, eps)
-        if self.ks:
-            center = ctx.stride1_maps(1)
-            shortcut = conv_apply(center, feats, params[self.ks], ctx.n)
-            cache_sc = center
-        else:
-            shortcut = feats
-            cache_sc = None
-        out, m_out = relu_forward(n2 + shortcut)
-        return out, (maps, feats, t1, m1, r1, t2, cache_sc, m_out)
+        r1, t1 = self.unit1.forward(maps, feats, ctx.n, params, mode, eps)
+        n2, t2 = self.unit2.forward(maps, r1, ctx.n, params, mode, eps)
+        shortcut, sc_tape = feats, None
+        if self.shortcut_key:
+            shortcut, sc_tape = conv_forward(ctx.stride1_maps(1), feats, params[self.shortcut_key], ctx.n)
+        out, mask = relu_forward(n2 + shortcut)
+        return out, BlockTape(t1, t2, sc_tape, mask)
 
-    def backward(self, cache, d_out, params, grads):
-        maps, feats, t1, m1, r1, t2, cache_sc, m_out = cache
-        d_sum = relu_backward(m_out, d_out)
-        d_n2, d_g2, d_b2 = batch_norm_backward(t2, d_sum)
-        grads.accumulate(self.bn2.gamma_key, d_g2)
-        grads.accumulate(self.bn2.beta_key, d_b2)
-        d_r1, d_k2 = conv_grads(maps, r1, params[self.k2], d_n2, r1.shape[0])
-        grads.accumulate(self.k2, d_k2)
-        d_n1 = relu_backward(m1, d_r1)
-        d_pre1, d_g1, d_b1 = batch_norm_backward(t1, d_n1)
-        grads.accumulate(self.bn1.gamma_key, d_g1)
-        grads.accumulate(self.bn1.beta_key, d_b1)
-        d_in, d_k1 = conv_grads(maps, feats, params[self.k1], d_pre1, feats.shape[0])
-        grads.accumulate(self.k1, d_k1)
-        if self.ks:
-            d_sc_in, d_ks = conv_grads(cache_sc, feats, params[self.ks], d_sum, feats.shape[0])
-            grads.accumulate(self.ks, d_ks)
-            d_in += d_sc_in
-        else:
-            d_in += d_sum
-        return d_in
+    def backward(self, tape: BlockTape, d_out, grads):
+        d_sum = relu_backward(tape.relu_mask, d_out)
+        d_r1 = self.unit2.backward(tape.unit2, d_sum, grads)
+        d_in = self.unit1.backward(tape.unit1, d_r1, grads)
+        if tape.shortcut is None:
+            return d_in + d_sum
+        d_sc_in, d_ks = conv_backward(tape.shortcut, d_sum)
+        grads.accumulate(self.shortcut_key, d_ks)
+        return d_in + d_sc_in
 
-    def bn_entries(self, cache):
-        _, _, t1, _, _, t2, _, _ = cache
-        yield self.bn1.mean_key, self.bn1.var_key, t1
-        yield self.bn2.mean_key, self.bn2.var_key, t2
-
-
-class _BnUnit:
-    def __init__(self, name: str, c: int):
-        self.gamma_key = f"{name}.gamma"
-        self.beta_key = f"{name}.beta"
-        self.mean_key = f"{name}.running_mean"
-        self.var_key = f"{name}.running_var"
-        self.c = c
-
-    def param_specs(self):
-        for key in (self.gamma_key, self.beta_key, self.mean_key, self.var_key):
-            yield key, (self.c,)
-
-    def forward(self, feats, params, mode, eps):
-        return batch_norm_forward(
-            feats, params[self.gamma_key], params[self.beta_key],
-            params[self.mean_key], params[self.var_key], mode, eps,
-        )
+    def bn_entries(self, tape: BlockTape):
+        yield from self.unit1.bn_entries(tape.unit1)
+        yield from self.unit2.bn_entries(tape.unit2)
 
 
 @dataclass
@@ -199,13 +189,9 @@ class UNetTape:
     """Everything the backward pass and the BN-stat commit need; single use."""
 
     ctxs: list[CoordContext]
-    stem_cache: tuple
-    enc_caches: list[list[tuple]]
-    down_caches: list[tuple]
-    up_caches: list[tuple]
-    dec_caches: list[list[tuple]]
-    head_cache: tuple
-    bn_entries: list[tuple[str, str, BnTape]] = field(default_factory=list)
+    units: dict[str, ConvBnTape | BlockTape]  # by unit name, in forward order
+    head: ConvTape
+    bn_entries: list[tuple[str, str, BnTape]]
     used: bool = False
 
     def consume(self) -> None:
@@ -221,17 +207,14 @@ class UNet:
         self.cfg = cfg
         ch = cfg.channels
         taps = cfg.kernel_size**3
-        self.stem = _ConvBnRelu("stem", taps, cfg.in_dim, ch[0])
+        unit = lambda name, cin, cout: ConvBn(f"{name}.kernel", f"{name}.bn", (taps, cin, cout))  # noqa: E731
+        self.stem = unit("stem", cfg.in_dim, ch[0])
         self.enc_blocks = [
             [ResidualBlock(f"enc{l}.block{b}", taps, ch[l], ch[l]) for b in range(cfg.blocks_per_level)]
             for l in range(cfg.levels)
         ]
-        self.downs = [
-            _ConvBnRelu(f"down{l}", taps, ch[l], ch[l + 1]) for l in range(cfg.levels - 1)
-        ]
-        self.ups = [
-            _ConvBnRelu(f"up{l}", taps, ch[l + 1], ch[l]) for l in range(cfg.levels - 1)
-        ]
+        self.downs = [unit(f"down{l}", ch[l], ch[l + 1]) for l in range(cfg.levels - 1)]
+        self.ups = [unit(f"up{l}", ch[l + 1], ch[l]) for l in range(cfg.levels - 1)]
         self.dec_blocks = [
             [
                 ResidualBlock(f"dec{l}.block{b}", taps, 2 * ch[l] if b == 0 else ch[l], ch[l])
@@ -255,10 +238,11 @@ class UNet:
         yield self.head_key, (1, self.cfg.channels[0], self.cfg.out_dim)
 
     def forward(self, inp: SparseVoxelTensor, params: ParameterSet, mode: str = "train"):
+        """Run the network; returns (output tensor, tape).  Output coordinates
+        equal input coordinates row for row, with feature width cfg.out_dim."""
         cfg = self.cfg
         if inp.feature_dim != cfg.in_dim:
             raise ValueError(f"input width {inp.feature_dim} != configured in_dim {cfg.in_dim}")
-        eps = cfg.bn_epsilon
         k = cfg.kernel_size
         ctxs = [CoordContext(inp.coords, inp.hash)]
         down_maps: list[OffsetMaps] = []
@@ -267,83 +251,59 @@ class UNet:
             down_maps.append(stride2_maps(ctxs[l], coarse, k))
             ctxs.append(coarse)
 
+        units: dict[str, ConvBnTape | BlockTape] = {}
         bn_entries: list[tuple[str, str, BnTape]] = []
-        x, stem_cache = self.stem.forward(
-            ctxs[0].stride1_maps(k), inp.features, ctxs[0].n, params, mode, eps
-        )
-        bn_entries.append(self.stem.bn_entry(stem_cache))
 
+        def run(unit, *args):
+            out, unit_tape = unit.forward(*args, params, mode, cfg.bn_epsilon)
+            units[unit.name] = unit_tape
+            bn_entries.extend(unit.bn_entries(unit_tape))
+            return out
+
+        x = run(self.stem, ctxs[0].stride1_maps(k), inp.features, ctxs[0].n)
         skips: list[np.ndarray] = []
-        enc_caches: list[list[tuple]] = []
-        down_caches: list[tuple] = []
         for l in range(cfg.levels):
-            level_caches = []
             for blk in self.enc_blocks[l]:
-                x, cache = blk.forward(ctxs[l], k, x, params, mode, eps)
-                level_caches.append(cache)
-                bn_entries.extend(blk.bn_entries(cache))
-            enc_caches.append(level_caches)
+                x = run(blk, ctxs[l], k, x)
             skips.append(x)
             if l < cfg.levels - 1:
-                x, cache = self.downs[l].forward(down_maps[l], x, ctxs[l + 1].n, params, mode, eps)
-                down_caches.append(cache)
-                bn_entries.append(self.downs[l].bn_entry(cache))
-
-        up_caches: list[tuple] = [None] * (cfg.levels - 1)
-        dec_caches: list[list[tuple]] = [None] * (cfg.levels - 1)
+                x = run(self.downs[l], down_maps[l], x, ctxs[l + 1].n)
         for l in reversed(range(cfg.levels - 1)):
-            x, cache = self.ups[l].forward(swap_maps(down_maps[l]), x, ctxs[l].n, params, mode, eps)
-            up_caches[l] = cache
-            bn_entries.append(self.ups[l].bn_entry(cache))
+            x = run(self.ups[l], swap_maps(down_maps[l]), x, ctxs[l].n)
             x = np.concatenate([x, skips[l]], axis=1)
-            level_caches = []
             for blk in self.dec_blocks[l]:
-                x, cache = blk.forward(ctxs[l], k, x, params, mode, eps)
-                level_caches.append(cache)
-                bn_entries.extend(blk.bn_entries(cache))
-            dec_caches[l] = level_caches
+                x = run(blk, ctxs[l], k, x)
+        out, head = conv_forward(ctxs[0].stride1_maps(1), x, params[self.head_key], ctxs[0].n)
 
-        head_maps = ctxs[0].stride1_maps(1)
-        out = conv_apply(head_maps, x, params[self.head_key], ctxs[0].n)
-        head_cache = (head_maps, x)
-
-        tape = UNetTape(
-            ctxs, stem_cache, enc_caches, down_caches, up_caches, dec_caches, head_cache,
-            bn_entries,
-        )
+        tape = UNetTape(ctxs, units, head, bn_entries)
         out_tensor = SparseVoxelTensor(inp.coords, out, inp.voxel_size, inp.origin_map, inp.hash)
         return out_tensor, tape
 
     def backward(self, tape: UNetTape, d_out: np.ndarray, params: ParameterSet):
-        """Exact adjoint of forward: gradient registry plus input-feature grads."""
+        """Exact adjoint of forward: gradient registry plus input-feature grads.
+        The kernels are read from the tape, so `params` goes unused."""
         tape.consume()
         cfg = self.cfg
         grads = GradientSet(
             {name: np.zeros(shape) for name, shape in self.param_specs() if is_trainable(name)}
         )
+        back = lambda unit, d: unit.backward(tape.units[unit.name], d, grads)  # noqa: E731
 
-        head_maps, head_in = tape.head_cache
-        d_x, d_head = conv_grads(head_maps, head_in, params[self.head_key], d_out, head_in.shape[0])
+        d_x, d_head = conv_backward(tape.head, d_out)
         grads.accumulate(self.head_key, d_head)
-
         pending_skip: dict[int, np.ndarray] = {}
         for l in range(cfg.levels - 1):
-            for b in reversed(range(cfg.blocks_per_level)):
-                d_x = self.dec_blocks[l][b].backward(tape.dec_caches[l][b], d_x, params, grads)
+            for blk in reversed(self.dec_blocks[l]):
+                d_x = back(blk, d_x)
             c_up = cfg.channels[l]
-            d_up_out = d_x[:, :c_up]
             pending_skip[l] = d_x[:, c_up:]
-            d_x = self.ups[l].backward(tape.up_caches[l], d_up_out, params, grads)
-
+            d_x = back(self.ups[l], d_x[:, :c_up])
         for l in reversed(range(cfg.levels)):
             if l < cfg.levels - 1:
-                d_x = self.downs[l].backward(tape.down_caches[l], d_x, params, grads)
-                d_x = d_x + pending_skip[l]
-            for b in reversed(range(cfg.blocks_per_level)):
-                d_x = self.enc_blocks[l][b].backward(tape.enc_caches[l][b], d_x, params, grads)
-
-        d_in = self.stem.backward(tape.stem_cache, d_x, params, grads)
-        return grads, d_in
+                d_x = back(self.downs[l], d_x) + pending_skip[l]
+            for blk in reversed(self.enc_blocks[l]):
+                d_x = back(blk, d_x)
+        return grads, back(self.stem, d_x)
 
     def init_params(self, seed: int) -> ParameterSet:
         """He-uniform convolution kernels (variance 2 / fan_in); BN scale 1,
@@ -377,17 +337,7 @@ def relu_masks(tape: UNetTape) -> list[np.ndarray]:
     passes and skip elements whose perturbation crosses a ReLU kink, where
     the loss is not differentiable.
     """
-    masks = [tape.stem_cache[3]]
-    for level in tape.enc_caches:
-        for cache in level:
-            masks.extend((cache[3], cache[7]))
-    masks.extend(cache[3] for cache in tape.down_caches)
-    masks.extend(cache[3] for cache in tape.up_caches if cache is not None)
-    for level in tape.dec_caches:
-        if level:
-            for cache in level:
-                masks.extend((cache[3], cache[7]))
-    return masks
+    return [mask for unit_tape in tape.units.values() for mask in unit_tape.relu_masks()]
 
 
 def commit_bn_stats(params: ParameterSet, tape: UNetTape, momentum: float) -> None:
@@ -401,17 +351,3 @@ def commit_bn_stats(params: ParameterSet, tape: UNetTape, momentum: float) -> No
         )
         params[mean_key] = new_mean
         params[var_key] = new_var
-
-
-def init_params(cfg: UNetConfig, seed: int) -> ParameterSet:
-    return UNet(cfg).init_params(seed)
-
-
-def unet_forward(inp: SparseVoxelTensor, params: ParameterSet, cfg: UNetConfig, mode: str = "train"):
-    """Run the U-Net; returns (output tensor, tape).  Output coordinates equal
-    input coordinates row for row, with feature width cfg.out_dim."""
-    return UNet(cfg).forward(inp, params, mode)
-
-
-def unet_backward(tape: UNetTape, d_out: np.ndarray, params: ParameterSet, cfg: UNetConfig):
-    return UNet(cfg).backward(tape, d_out, params)

@@ -118,12 +118,13 @@ def _read_ply_stream(fh) -> PointCloud:
         raw = read_exact(fh, 4 * width * n_points, "PLY payload")
         rows = np.frombuffer(raw, dtype="<f4").reshape(n_points, width)
     else:
-        rows = np.empty((n_points, width), dtype=np.float32)
+        values = []  # grown row by row: a corrupt vertex count allocates nothing
         for i in range(n_points):
             vals = _read_line(fh).split()
             if len(vals) != width:
                 raise FormatError(f"vertex row {i} has {len(vals)} values, expected {width}")
-            rows[i] = [float(v) for v in vals]
+            values.append([float(v) for v in vals])
+        rows = np.array(values, dtype=np.float32).reshape(n_points, width)
     points = rows[:, :3].astype(np.float64)
     features = rows[:, 3:].astype(np.float64) if width > 3 else None
     return PointCloud(points, features)

@@ -374,6 +374,10 @@ def train(
             collapse_sum += outcome.collapse
             produced += 1
             tapes.extend(outcome.tapes)
+        if 0 < produced < cfg.grad_accum:
+            # skipped slots: the step's gradient is the mean over the produced ones
+            for t in total.tensors.values():
+                t *= cfg.grad_accum / produced
         if produced:
             records.append(_optimizer_step(
                 params, total, tapes, state, cfg, loss_sum / produced, collapse_sum / produced, t0

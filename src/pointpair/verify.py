@@ -199,28 +199,38 @@ def oracle_info_nce_loss(f1: np.ndarray, f2: np.ndarray, tau: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _conv_instance_error(rng: np.random.Generator, maps, feats, kernel, n_out: int) -> float:
+    """Worst relative error of `layers.conv_backward` against central differences
+    of `layers.conv_forward` on one fixed kernel map: sampled input entries and
+    every kernel entry."""
+    out0, tape = layers.conv_forward(maps, feats, kernel, n_out)
+    weight = rng.standard_normal(out0.shape)
+
+    def value():
+        out, _ = layers.conv_forward(maps, feats, kernel, n_out)
+        return float((out * weight).sum())
+
+    d_feats, d_kernel = layers.conv_backward(tape, weight)
+    worst = fd_compare(value, feats, d_feats, rng)
+    numeric = central_difference(value, kernel, np.arange(kernel.size))
+    return max(worst, max_rel_error(d_kernel.reshape(-1), numeric))
+
+
 def _check_conv_gradients(rng: np.random.Generator, stride: int, instances: int) -> CheckResult:
     worst = 0.0
     for _ in range(instances):
         n = int(rng.integers(20, 60))
         cin = int(rng.integers(1, 5))
         cout = int(rng.integers(1, 5))
-        coords = random_coords(rng, n)
+        ctx = layers.CoordContext(random_coords(rng, n))
         feats = rng.standard_normal((n, cin))
         kernel = rng.standard_normal((27, cin, cout)) * 0.5
-        tensor = SparseVoxelTensor(coords, feats, 1.0)
-        out0, tape = layers.sparse_conv_forward(tensor, kernel, stride)
-        weight = rng.standard_normal(out0.features.shape)
-
-        def value():
-            out, _ = layers.sparse_conv_forward(tensor, kernel, stride)
-            return float((out.features * weight).sum())
-
-        d_feats, d_kernel = layers.sparse_conv_backward(tape, weight)
-        worst = max(worst, fd_compare(value, feats, d_feats, rng))
-        idx = np.arange(kernel.size)  # every kernel entry
-        numeric = central_difference(value, kernel, idx)
-        worst = max(worst, max_rel_error(d_kernel.reshape(-1), numeric))
+        if stride == 1:
+            maps, n_out = ctx.stride1_maps(3), n
+        else:
+            coarse = layers.CoordContext(layers.downsample_coords(ctx.coords))
+            maps, n_out = layers.stride2_maps(ctx, coarse, 3), coarse.n
+        worst = max(worst, _conv_instance_error(rng, maps, feats, kernel, n_out))
     passed = worst < TOL_PER_OP
     return CheckResult(f"gradcheck.sparse_conv.stride{stride}", passed, f"max rel err {worst:.3e}")
 
@@ -231,23 +241,12 @@ def _check_transpose_conv_gradients(rng: np.random.Generator, instances: int) ->
         n = int(rng.integers(20, 60))
         cin = int(rng.integers(1, 5))
         cout = int(rng.integers(1, 5))
-        fine_coords = random_coords(rng, n)
-        coarse_coords = layers.downsample_coords(fine_coords)
-        feats = rng.standard_normal((coarse_coords.shape[0], cin))
+        fine = layers.CoordContext(random_coords(rng, n))
+        coarse = layers.CoordContext(layers.downsample_coords(fine.coords))
+        feats = rng.standard_normal((coarse.n, cin))
         kernel = rng.standard_normal((27, cin, cout)) * 0.5
-        coarse = SparseVoxelTensor(coarse_coords, feats, 2.0)
-        fine_target = SparseVoxelTensor(fine_coords, np.zeros((n, 1)), 1.0)
-        out0, tape = layers.transpose_conv_forward(coarse, kernel, fine_target)
-        weight = rng.standard_normal(out0.features.shape)
-
-        def value():
-            out, _ = layers.transpose_conv_forward(coarse, kernel, fine_target)
-            return float((out.features * weight).sum())
-
-        d_feats, d_kernel = layers.transpose_conv_backward(tape, weight)
-        worst = max(worst, fd_compare(value, feats, d_feats, rng))
-        numeric = central_difference(value, kernel, np.arange(kernel.size))
-        worst = max(worst, max_rel_error(d_kernel.reshape(-1), numeric))
+        maps = layers.swap_maps(layers.stride2_maps(fine, coarse, 3))
+        worst = max(worst, _conv_instance_error(rng, maps, feats, kernel, n))
     passed = worst < TOL_PER_OP
     return CheckResult("gradcheck.transpose_conv", passed, f"max rel err {worst:.3e}")
 
@@ -327,10 +326,10 @@ def _check_residual_block_gradients(rng: np.random.Generator, instances: int) ->
 
         def value_and_masks():
             out, c = block.forward(ctx, 3, feats, params, "train", 1e-5)
-            return float((out * weight).sum()), [c[3], c[7]]
+            return float((out * weight).sum()), c.relu_masks()
 
         grads = GradientSet.zeros_like(params)
-        d_in = block.backward(cache, weight, params, grads)
+        d_in = block.backward(cache, weight, grads)
         worst = max(worst, fd_compare_masked(value_and_masks, feats, d_in, rng, max_count=30))
         for name in grads.names():
             worst = max(worst, fd_compare_masked(value_and_masks, params[name], grads[name], rng, max_count=30))

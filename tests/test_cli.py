@@ -1,11 +1,19 @@
 import configparser
 import json
 import os
+import struct
 
+import numpy as np
 import pytest
 
 from pointpair import cli
+from pointpair.errors import FormatError
+from pointpair.frames import read_frame
+from pointpair.geometry import PointCloud
 from pointpair.net import layers
+from pointpair.net.params import load_params
+from pointpair.pairs import read_pair
+from pointpair.ply import ply_bytes, read_ply
 
 
 @pytest.fixture()
@@ -262,6 +270,45 @@ class TestPretrainEval:
             assert capsys.readouterr().err.startswith("error: truncated")
 
 
+HUGE = 1 << 40  # a count no file here holds: 4 TiB or more of payload
+
+
+def _huge_ply_header() -> bytes:
+    return (b"ply\nformat binary_little_endian 1.0\nelement vertex %d\n" % HUGE
+            + b"property float x\nproperty float y\nproperty float z\nend_header\n")
+
+
+# files whose header claims a huge payload, followed by a few real bytes
+HUGE_HEADERS = {
+    "frame": (read_frame, b"PCFD" + struct.pack("<II", 1 << 20, 1 << 20)
+              + struct.pack("<4d", 1.0, 1.0, 0.0, 0.0) + np.eye(4).tobytes()),
+    "ply": (read_ply, _huge_ply_header() + bytes(24)),
+    "pair": (read_pair, b"PCPR" + 2 * ply_bytes(PointCloud(np.zeros((2, 3))))
+             + struct.pack("<Q", HUGE) + bytes(24)),
+    "params": (load_params, b"PCCK" + struct.pack("<I", 2) + b"{}" + struct.pack("<IH", 1, 1)
+               + b"w" + struct.pack("<B2Q", 2, 1 << 20, 1 << 20) + bytes(24)),
+}
+
+
+class TestHugeHeaderCounts:
+    @pytest.mark.parametrize("kind", sorted(HUGE_HEADERS))
+    def test_reader_raises_format_error(self, tmp_path, kind):
+        reader, blob = HUGE_HEADERS[kind]
+        path = tmp_path / f"huge.{kind}"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match="truncated"):
+            reader(str(path))
+
+    def test_pairgen_and_eval_exit_2(self, workdir, capsys):
+        os.mkdir("frames")
+        (workdir / "frames" / "huge.pcfd").write_bytes(HUGE_HEADERS["frame"][1])
+        assert cli.main(["pairgen", "--frames", "frames", "--out", "pairs"]) == 2
+        assert capsys.readouterr().err.startswith("error: truncated")
+        (workdir / "huge.ckpt").write_bytes(HUGE_HEADERS["params"][1])
+        assert cli.main(["eval", "--checkpoint", "huge.ckpt", "--pairs", "pairs", "--out", "ev"]) == 2
+        assert capsys.readouterr().err.startswith("error: truncated")
+
+
 class TestVerifyCommand:
     def test_oracle_suite_exits_zero(self, capsys):
         assert cli.main(["verify", "--suite", "oracles"]) == 0
@@ -272,13 +319,13 @@ class TestVerifyCommand:
         assert cli.main(["verify", "--suite", "bogus"]) == 1
 
     def test_sign_flipped_conv_backward_fails_gradcheck(self, monkeypatch, capsys):
-        true_backward = layers.sparse_conv_backward
+        true_backward = layers.conv_backward
 
         def flipped(tape, d_out):
             d_in, d_k = true_backward(tape, d_out)
             return -d_in, -d_k
 
-        monkeypatch.setattr(layers, "sparse_conv_backward", flipped)
+        monkeypatch.setattr(layers, "conv_backward", flipped)
         rc = cli.main(["verify", "--suite", "gradcheck", "--instances", "2"])
         assert rc == 2
         assert "FAIL gradcheck.sparse_conv" in capsys.readouterr().out

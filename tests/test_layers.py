@@ -8,13 +8,13 @@ from pointpair.net.layers import (
     batch_norm_forward,
     downsample_coords,
     kernel_offsets,
+    conv_backward,
+    conv_forward,
     relu_backward,
     relu_forward,
-    sparse_conv_backward,
     sparse_conv_forward,
     stride2_maps,
-    transpose_conv_forward,
-    transpose_conv_backward,
+    swap_maps,
     updated_running_stats,
 )
 from pointpair.verify import dense_conv_oracle, random_coords
@@ -88,7 +88,7 @@ class TestSparseConv:
         t = _tensor(rng)
         kernel = rng.standard_normal((27, 3, 2))
         out, tape = sparse_conv_forward(t, kernel, 1)
-        d_in, d_k = sparse_conv_backward(tape, np.zeros_like(out.features))
+        d_in, d_k = conv_backward(tape, np.zeros_like(out.features))
         assert not d_in.any() and not d_k.any()
 
     def test_identity_kernel_backward_passes_gradient_through(self, rng):
@@ -97,21 +97,28 @@ class TestSparseConv:
         kernel[13] = np.eye(4)
         out, tape = sparse_conv_forward(t, kernel, 1)
         upstream = rng.standard_normal(out.features.shape)
-        d_in, _ = sparse_conv_backward(tape, upstream)
+        d_in, _ = conv_backward(tape, upstream)
         np.testing.assert_array_equal(d_in, upstream)
 
     def test_tape_reuse_rejected(self, rng):
         t = _tensor(rng)
         kernel = rng.standard_normal((27, 3, 2))
         out, tape = sparse_conv_forward(t, kernel, 1)
-        sparse_conv_backward(tape, np.zeros_like(out.features))
+        conv_backward(tape, np.zeros_like(out.features))
         with pytest.raises(RuntimeError):
-            sparse_conv_backward(tape, np.zeros_like(out.features))
+            conv_backward(tape, np.zeros_like(out.features))
 
     def test_channel_mismatch_rejected(self, rng):
         t = _tensor(rng, cin=3)
         with pytest.raises(ValueError):
             sparse_conv_forward(t, np.zeros((27, 4, 2)), 1)
+
+
+def _upsample(coarse_coords, feats, kernel, fine_coords):
+    """Transposed convolution: the swapped stride-2 map through the one entry point."""
+    fine = CoordContext(fine_coords)
+    maps = swap_maps(stride2_maps(fine, CoordContext(coarse_coords), 3))
+    return conv_forward(maps, feats, kernel, fine.n)
 
 
 class TestTransposeConv:
@@ -120,8 +127,11 @@ class TestTransposeConv:
         kernel_d = rng.standard_normal((27, 2, 3))
         down, _ = sparse_conv_forward(t, kernel_d, 2)
         kernel_u = rng.standard_normal((27, 3, 2))
-        up, _ = transpose_conv_forward(down, kernel_u, t)
-        np.testing.assert_array_equal(up.coords, t.coords)
+        up, _ = _upsample(down.coords, down.features, kernel_u, t.coords)
+        assert up.shape == t.features.shape
+        # one fine site: only the tap at its offset from twice its coarse site reaches it
+        tap = int(np.flatnonzero((kernel_offsets(3) == t.coords[0] - 2 * down.coords[0]).all(1))[0])
+        np.testing.assert_allclose(up, down.features @ kernel_u[tap], atol=1e-12)
 
     def test_linearity(self, rng):
         fine = _tensor(rng, n=40, cin=1)
@@ -129,9 +139,7 @@ class TestTransposeConv:
         kernel = rng.standard_normal((27, 2, 3))
         a = rng.standard_normal((len(coarse_coords), 2))
         b = rng.standard_normal((len(coarse_coords), 2))
-        def up(f):
-            src = SparseVoxelTensor(coarse_coords, f, 2.0)
-            return transpose_conv_forward(src, kernel, fine)[0].features
+        up = lambda f: _upsample(coarse_coords, f, kernel, fine.coords)[0]
         np.testing.assert_allclose(up(a + b), up(a) + up(b), atol=1e-9)
 
     def test_backward_is_exact_adjoint(self, rng):
@@ -139,12 +147,11 @@ class TestTransposeConv:
         coarse_coords = downsample_coords(fine.coords)
         kernel = rng.standard_normal((27, 2, 4))
         x = rng.standard_normal((len(coarse_coords), 2))
-        src = SparseVoxelTensor(coarse_coords, x, 2.0)
-        out, tape = transpose_conv_forward(src, kernel, fine)
-        y = rng.standard_normal(out.features.shape)
-        d_in, _ = transpose_conv_backward(tape, y)
+        out, tape = _upsample(coarse_coords, x, kernel, fine.coords)
+        y = rng.standard_normal(out.shape)
+        d_in, _ = conv_backward(tape, y)
         # <y, A x> == <A^T y, x>
-        np.testing.assert_allclose((y * out.features).sum(), (d_in * x).sum(), rtol=1e-12)
+        np.testing.assert_allclose((y * out).sum(), (d_in * x).sum(), rtol=1e-12)
 
 
 class TestBatchNorm:
@@ -266,9 +273,7 @@ class TestMapsAgainstReference:
                 want = _reference_maps(coarse_rows, fine, offs, scale=2)
                 got = stride2_maps(CoordContext(fine), CoordContext(coarse_rows), kernel_size)
                 _assert_maps_equal(got, want)
-                inp = SparseVoxelTensor(coarse_rows, np.ones((len(coarse_rows), 1)), 1.0)
-                _, tape = transpose_conv_forward(inp, np.ones((len(offs), 1, 1)), fine)
-                _assert_maps_equal(tape.maps, [ref[:, ::-1] for ref in want])
+                _assert_maps_equal(swap_maps(got), [ref[:, ::-1] for ref in want])
 
     def test_packing_limit(self):
         limit = 1 << 20

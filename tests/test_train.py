@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import os
 
 import numpy as np
@@ -200,6 +201,32 @@ class TestTrainLoop:
         cfg = TrainConfig.from_dict(_tiny_cfg(max_iters=2).to_dict() | {"grad_accum": 2})
         res = train(small_corpus, cfg)
         assert len(res.records) == 2
+
+    def test_grad_accum_skipped_slot_steps_on_produced_gradient(self, small_corpus, monkeypatch):
+        train_module = importlib.import_module("pointpair.train")  # the package exports train()
+
+        cfg = dataclasses.replace(_tiny_cfg(max_iters=1), grad_accum=2)
+        produced, stepped = [], []
+        forward_backward, sgd = train_module.forward_backward, train_module.sgd_step
+
+        def second_slot_skips(*args):
+            if produced:
+                raise SkipStep("forced skip")
+            outcome = forward_backward(*args)
+            produced.append({n: g.copy() for n, g in outcome.grads.tensors.items()})
+            return outcome
+
+        def record_step(params, grads, *rest):
+            stepped.append({n: g.copy() for n, g in grads.tensors.items()})
+            return sgd(params, grads, *rest)
+
+        monkeypatch.setattr(train_module, "forward_backward", second_slot_skips)
+        monkeypatch.setattr(train_module, "sgd_step", record_step)
+        res = train(small_corpus, cfg)
+        assert res.skipped == 1 and len(res.records) == 1 and len(stepped) == 1
+        assert stepped[0].keys() == produced[0].keys()
+        for name, grad in produced[0].items():
+            np.testing.assert_array_equal(stepped[0][name], grad)
 
     def test_hardest_variant_trains(self, small_corpus):
         res = train(small_corpus, _tiny_cfg(max_iters=3, variant="hardest_contrastive"))

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from pointpair.net.params import GradientSet, ParameterSet, is_trainable, load_params, save_params
-from pointpair.net.unet import (
-    UNet,
-    UNetConfig,
-    commit_bn_stats,
-    init_params,
-    unet_backward,
-    unet_forward,
-)
+from pointpair.net.unet import UNet, UNetConfig, commit_bn_stats, relu_masks
 from pointpair.verify import random_coords, tiny_unet_config
 from pointpair.voxel import SparseVoxelTensor
 
@@ -95,12 +88,13 @@ class TestForward:
             else:
                 assert not np.array_equal(params[name], before[name])
 
-    def test_module_level_wrappers(self, rng):
+    def test_backward_grads_cover_trainables(self, rng):
         cfg = tiny_unet_config()
-        params = init_params(cfg, 0)
+        unet = UNet(cfg)
+        params = unet.init_params(0)
         inp = _input(rng, 50, cfg.in_dim)
-        out, tape = unet_forward(inp, params, cfg, "train")
-        grads, d_in = unet_backward(tape, np.ones_like(out.features), params, cfg)
+        out, tape = unet.forward(inp, params, "train")
+        grads, d_in = unet.backward(tape, np.ones_like(out.features), params)
         assert d_in.shape == inp.features.shape
         assert set(grads.tensors) == {n for n in params.names() if is_trainable(n)}
 
@@ -123,17 +117,75 @@ class TestForward:
             unet.backward(tape, np.zeros_like(out.features), params)
 
 
+def _bn(prefix, c):
+    return [(f"{prefix}.{stat}", (c,)) for stat in ("gamma", "beta", "running_mean", "running_var")]
+
+
+class TestRefactorInvariants:
+    def test_param_specs_names_shapes_order(self):
+        # the order drives the init RNG draws and so the checkpoint bytes
+        want = [
+            ("stem.kernel", (27, 2, 3)), *_bn("stem.bn", 3),
+            ("enc0.block0.conv1.kernel", (27, 3, 3)), *_bn("enc0.block0.bn1", 3),
+            ("enc0.block0.conv2.kernel", (27, 3, 3)), *_bn("enc0.block0.bn2", 3),
+            ("down0.kernel", (27, 3, 4)), *_bn("down0.bn", 4),
+            ("enc1.block0.conv1.kernel", (27, 4, 4)), *_bn("enc1.block0.bn1", 4),
+            ("enc1.block0.conv2.kernel", (27, 4, 4)), *_bn("enc1.block0.bn2", 4),
+            ("up0.kernel", (27, 4, 3)), *_bn("up0.bn", 3),
+            ("dec0.block0.conv1.kernel", (27, 6, 3)), *_bn("dec0.block0.bn1", 3),
+            ("dec0.block0.conv2.kernel", (27, 3, 3)), *_bn("dec0.block0.bn2", 3),
+            ("dec0.block0.shortcut.kernel", (1, 6, 3)),
+            ("head.kernel", (1, 3, 3)),
+        ]
+        assert list(UNet(tiny_unet_config()).param_specs()) == want
+
+    def test_one_relu_mask_per_relu(self, rng):
+        levels, blocks, ch = 3, 2, (2, 3, 4)
+        cfg = UNetConfig(levels=levels, channels=ch, blocks_per_level=blocks, in_dim=1, out_dim=2)
+        unet = UNet(cfg)
+        _, tape = unet.forward(_input(rng, 150, 1), unet.init_params(0), "train")
+        n = [ctx.n for ctx in tape.ctxs]
+        # stem; two per encoder block; down l ends on level l + 1; up l and two per decoder block
+        want = [(n[0], ch[0])]
+        for l in range(levels):
+            want += [(n[l], ch[l])] * (2 * blocks)
+            if l < levels - 1:
+                want += [(n[l + 1], ch[l + 1])] + [(n[l], ch[l])] * (1 + 2 * blocks)
+        masks = relu_masks(tape)
+        assert len(masks) == 1 + 2 * blocks * (2 * levels - 1) + 2 * (levels - 1) == len(want)
+        assert sorted(m.shape for m in masks) == sorted(want)
+        assert all(m.dtype == bool for m in masks)
+
+    def test_commit_updates_each_running_stat_once(self, rng, monkeypatch):
+        cfg = tiny_unet_config()
+        unet = UNet(cfg)
+        params = unet.init_params(0)
+        _, tape = unet.forward(_input(rng, 60, cfg.in_dim), params, "train")
+        written = []
+        setitem = ParameterSet.__setitem__
+
+        def record(self, name, value):
+            written.append(name)
+            setitem(self, name, value)
+
+        monkeypatch.setattr(ParameterSet, "__setitem__", record)
+        commit_bn_stats(params, tape, cfg.bn_momentum)
+        stats = [name for name, _ in unet.param_specs() if not is_trainable(name)]
+        assert sorted(written) == sorted(stats)
+        assert len(set(written)) == len(written)
+
+
 class TestInit:
     def test_same_seed_identical(self):
         cfg = tiny_unet_config()
-        a = init_params(cfg, 9)
-        b = init_params(cfg, 9)
+        a = UNet(cfg).init_params(9)
+        b = UNet(cfg).init_params(9)
         assert a.names() == b.names()
         for name in a.names():
             np.testing.assert_array_equal(a[name], b[name])
 
     def test_bn_init_values(self):
-        params = init_params(tiny_unet_config(), 0)
+        params = UNet(tiny_unet_config()).init_params(0)
         for name in params.names():
             if name.endswith(".gamma") or name.endswith(".running_var"):
                 assert np.all(params[name] == 1.0)
@@ -142,7 +194,7 @@ class TestInit:
 
     def test_kernel_variance_follows_fan_in_law(self):
         cfg = UNetConfig(levels=1, channels=(48,), blocks_per_level=1, in_dim=48, out_dim=4)
-        params = init_params(cfg, 5)
+        params = UNet(cfg).init_params(5)
         k = params["enc0.block0.conv1.kernel"]  # 27*48*48 samples
         fan_in = 27 * 48
         assert abs(k.var() / (2.0 / fan_in) - 1.0) < 0.2
@@ -163,7 +215,7 @@ class TestInit:
 class TestParamsIO:
     def test_checkpoint_roundtrip_bitwise(self, rng):
         cfg = tiny_unet_config()
-        params = init_params(cfg, 4)
+        params = UNet(cfg).init_params(4)
         buf = io.BytesIO()
         save_params(buf, params, {"unet": cfg.to_dict(), "note": 1})
         buf.seek(0)
@@ -174,7 +226,7 @@ class TestParamsIO:
             np.testing.assert_array_equal(back[name], params[name])
 
     def test_gradient_set_shapes(self):
-        params = init_params(tiny_unet_config(), 0)
+        params = UNet(tiny_unet_config()).init_params(0)
         grads = GradientSet.zeros_like(params)
         assert all(is_trainable(n) for n in grads.names())
         for name in grads.names():
