@@ -11,6 +11,9 @@ Subcommands:
 Every run writes a manifest.json into its output directory before doing any
 work; all file outputs are written to a temporary name and renamed on
 completion.  Exit codes: 0 success, 1 validation error, 2 runtime failure.
+An unexpected failure (a bug, not a bad input) also leaves its traceback:
+in `traceback.txt` inside the command's `--out` directory when it exists,
+otherwise on stderr.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import json
 import os
 import sys
 import time
+import traceback
 
 from . import __version__
 from .errors import ConfigError, PointPairError
@@ -328,7 +332,26 @@ def main(argv=None) -> int:
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"unexpected failure: {exc}", file=sys.stderr)
+        _report_traceback(getattr(args, "out", None))
         return 2
+
+
+def _report_traceback(out_dir: str | None) -> None:
+    """Leave the traceback of the exception being handled in
+    `out_dir`/traceback.txt and print that path, or print the traceback
+    itself when there is no such directory or it cannot be written."""
+    text = traceback.format_exc()
+    if out_dir and os.path.isdir(out_dir):
+        path = os.path.join(out_dir, "traceback.txt")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError:
+            pass
+        else:
+            print(f"traceback written to {path}", file=sys.stderr)
+            return
+    sys.stderr.write(text)
 
 
 if __name__ == "__main__":

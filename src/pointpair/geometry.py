@@ -152,11 +152,25 @@ def brute_force_nearest(pc: PointCloud, query) -> tuple[int, float]:
     return idx, float(np.sqrt(sq[idx]))
 
 
+_DIST_BLOCK_ROWS = 64  # rows of temporaries held at once by pairwise_sq_dists
+
+
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) squared Euclidean distances between row vectors,
-    via the Gram expansion and clamped at 0 against rounding."""
-    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
-    return np.maximum(sq, 0.0)
+    via the Gram expansion and clamped at 0 against rounding.
+
+    Memory: one len(a) x len(b) buffer.  The Gram matrix is one GEMM (split
+    GEMMs round differently) and is overwritten block by block with
+    max((|a|^2 + |b|^2) - 2 G, 0), so every element takes the same operations
+    in the same order as the unblocked expression.
+    """
+    an = (a * a).sum(axis=1)[:, None]
+    bn = (b * b).sum(axis=1)[None, :]
+    g = a @ b.T
+    for start in range(0, g.shape[0], _DIST_BLOCK_ROWS):
+        r = slice(start, start + _DIST_BLOCK_ROWS)
+        np.maximum((an[r] + bn) - 2.0 * g[r], 0.0, out=g[r])
+    return g
 
 
 _OFFSETS = np.array([-1.0, 0.0, 1.0])

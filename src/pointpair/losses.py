@@ -163,25 +163,31 @@ class InfoNceResult:
 
 
 def info_nce(batch: MatchBatch, tau: float) -> InfoNceResult:
-    """Softmax cross-entropy over f1 @ f2.T / tau with diagonal labels."""
+    """Softmax cross-entropy over f1 @ f2.T / tau with diagonal labels.
+
+    Memory: one n x n float64 buffer holds the logits, then the softmax, then
+    the logit gradient it returns; each step overwrites it in place with the
+    same elementwise operations, in the same order, as the out-of-place form.
+    """
     if not tau > 0:
         raise ValueError("tau must be positive")
     n = len(batch)
-    logits = batch.f1 @ batch.f2.T / tau
-    if not np.isfinite(logits).all():
+    z = batch.f1 @ batch.f2.T
+    z /= tau
+    if not np.isfinite(z).all():
         raise FloatingPointError("non-finite logits in info_nce")
-    row_max = logits.max(axis=1, keepdims=True)
-    z = np.exp(logits - row_max)
+    row_max = z.max(axis=1, keepdims=True)
+    shifted_diag = z.diagonal() - row_max[:, 0]  # taken before z is overwritten
+    z -= row_max
+    np.exp(z, out=z)
     denom = z.sum(axis=1, keepdims=True)
-    log_softmax_diag = (logits - row_max - np.log(denom)).diagonal()
-    loss = float(-log_softmax_diag.mean())
-    softmax = z / denom
-    logit_grad = softmax.copy()
-    np.fill_diagonal(logit_grad, logit_grad.diagonal() - 1.0)
-    logit_grad /= n
-    grad_f1 = logit_grad @ batch.f2 / tau
-    grad_f2 = logit_grad.T @ batch.f1 / tau
-    return InfoNceResult(loss, grad_f1, grad_f2, logit_grad)
+    loss = float(-(shifted_diag - np.log(denom)[:, 0]).mean())
+    z /= denom
+    np.fill_diagonal(z, z.diagonal() - 1.0)
+    z /= n
+    grad_f1 = z @ batch.f2 / tau
+    grad_f2 = z.T @ batch.f1 / tau
+    return InfoNceResult(loss, grad_f1, grad_f2, z)
 
 
 @dataclass(frozen=True)

@@ -188,14 +188,22 @@ def sparse_conv_forward(
     return SparseVoxelTensor(ctx_out.coords, out, inp.voxel_size), tape
 
 
+@dataclass(frozen=True)
+class BnStats:
+    """The batch statistics of one train-mode BN call: all that the running
+    statistics need, kept apart so they outlive the tape."""
+
+    mean: np.ndarray
+    var_unbiased: np.ndarray
+
+
 @dataclass
 class BnTape:
     mode: str
     xhat: np.ndarray
     inv_std: np.ndarray
     gamma: np.ndarray
-    batch_mean: np.ndarray | None = None
-    batch_var_unbiased: np.ndarray | None = None
+    stats: BnStats | None = None  # None in eval mode
     used: bool = False
 
     def consume(self) -> None:
@@ -227,10 +235,11 @@ def batch_norm_forward(
         if n < 2:
             raise DegenerateBatchError("batch norm in train mode needs >= 2 active sites")
         mean = feats.mean(axis=0)
-        var = feats.var(axis=0)
+        d = feats - mean
+        var = (d * d).sum(axis=0) / n  # == feats.var(axis=0), bit for bit
         inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (feats - mean) * inv_std
-        tape = BnTape("train", xhat, inv_std, gamma, mean, var * n / (n - 1))
+        xhat = d * inv_std
+        tape = BnTape("train", xhat, inv_std, gamma, BnStats(mean, var * n / (n - 1)))
     else:
         inv_std = 1.0 / np.sqrt(running_var + eps)
         xhat = (feats - running_mean) * inv_std
@@ -257,13 +266,11 @@ def batch_norm_backward(tape: BnTape, d_out: np.ndarray) -> tuple[np.ndarray, np
 
 
 def updated_running_stats(
-    tape: BnTape, running_mean: np.ndarray, running_var: np.ndarray, momentum: float
+    stats: BnStats, running_mean: np.ndarray, running_var: np.ndarray, momentum: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exponential moving average update from the batch statistics on the tape."""
-    if tape.batch_mean is None:
-        raise ValueError("tape carries no batch statistics (eval mode?)")
-    new_mean = (1.0 - momentum) * running_mean + momentum * tape.batch_mean
-    new_var = (1.0 - momentum) * running_var + momentum * tape.batch_var_unbiased
+    """Exponential moving average update from one call's batch statistics."""
+    new_mean = (1.0 - momentum) * running_mean + momentum * stats.mean
+    new_var = (1.0 - momentum) * running_var + momentum * stats.var_unbiased
     return new_mean, new_var
 
 

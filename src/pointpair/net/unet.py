@@ -13,12 +13,14 @@ convolution goes through `layers.conv_forward`/`conv_backward` on the kernel
 maps built once per forward pass, one `CoordContext` per level.
 
 Each unit returns a tape with named fields (`ConvBnTape`, `BlockTape`), and
-`UNetTape.units` keeps them by unit name in forward order; the backward pass,
-`relu_masks` and `commit_bn_stats` read them by name.
+`UNetTape.units` keeps them by unit name in forward order; the backward pass
+and `relu_masks` read them by name.
 
 The output coordinate set always equals the input coordinate set, row for
 row.  Forward passes never mutate the parameter registry; batch-norm batch
-statistics ride on the tape and are folded into the running statistics by
+statistics ride on the tape as `UNetTape.bn_stats`, small per-channel arrays
+that hold no tape array, so a caller can keep them, free the tape after the
+backward pass, and fold them into the running statistics with
 `commit_bn_stats` between optimizer steps.
 """
 
@@ -31,6 +33,7 @@ import numpy as np
 from ..config import ConfigMixin
 from ..voxel import SparseVoxelTensor
 from .layers import (
+    BnStats,
     BnTape,
     ConvTape,
     CoordContext,
@@ -138,8 +141,9 @@ class ConvBn:
         grads.accumulate(self.beta_key, d_beta)
         return d_in
 
-    def bn_entries(self, tape: ConvBnTape):
-        yield self.mean_key, self.var_key, tape.bn
+    def bn_stats(self, tape: ConvBnTape):
+        if tape.bn.stats is not None:  # eval mode keeps none
+            yield self.mean_key, self.var_key, tape.bn.stats
 
 
 class ResidualBlock:
@@ -179,9 +183,9 @@ class ResidualBlock:
         grads.accumulate(self.shortcut_key, d_ks)
         return d_in + d_sc_in
 
-    def bn_entries(self, tape: BlockTape):
-        yield from self.unit1.bn_entries(tape.unit1)
-        yield from self.unit2.bn_entries(tape.unit2)
+    def bn_stats(self, tape: BlockTape):
+        yield from self.unit1.bn_stats(tape.unit1)
+        yield from self.unit2.bn_stats(tape.unit2)
 
 
 @dataclass
@@ -191,7 +195,7 @@ class UNetTape:
     ctxs: list[CoordContext]
     units: dict[str, ConvBnTape | BlockTape]  # by unit name, in forward order
     head: ConvTape
-    bn_entries: list[tuple[str, str, BnTape]]
+    bn_stats: list[tuple[str, str, BnStats]]  # train mode only; no tape arrays
     used: bool = False
 
     def consume(self) -> None:
@@ -252,12 +256,12 @@ class UNet:
             ctxs.append(coarse)
 
         units: dict[str, ConvBnTape | BlockTape] = {}
-        bn_entries: list[tuple[str, str, BnTape]] = []
+        bn_stats: list[tuple[str, str, BnStats]] = []
 
         def run(unit, *args):
             out, unit_tape = unit.forward(*args, params, mode, cfg.bn_epsilon)
             units[unit.name] = unit_tape
-            bn_entries.extend(unit.bn_entries(unit_tape))
+            bn_stats.extend(unit.bn_stats(unit_tape))
             return out
 
         x = run(self.stem, ctxs[0].stride1_maps(k), inp.features, ctxs[0].n)
@@ -275,7 +279,7 @@ class UNet:
                 x = run(blk, ctxs[l], k, x)
         out, head = conv_forward(ctxs[0].stride1_maps(1), x, params[self.head_key], ctxs[0].n)
 
-        tape = UNetTape(ctxs, units, head, bn_entries)
+        tape = UNetTape(ctxs, units, head, bn_stats)
         out_tensor = SparseVoxelTensor(inp.coords, out, inp.voxel_size, inp.origin_map, inp.hash)
         return out_tensor, tape
 
@@ -340,14 +344,15 @@ def relu_masks(tape: UNetTape) -> list[np.ndarray]:
     return [mask for unit_tape in tape.units.values() for mask in unit_tape.relu_masks()]
 
 
-def commit_bn_stats(params: ParameterSet, tape: UNetTape, momentum: float) -> None:
-    """Fold the tape's batch statistics into the running statistics, in layer
-    order.  Call once per consumed tape, between optimizer steps."""
-    for mean_key, var_key, bn_tape in tape.bn_entries:
-        if bn_tape.batch_mean is None:
-            continue  # eval-mode tape: nothing to fold
+def commit_bn_stats(
+    params: ParameterSet, bn_stats: list[tuple[str, str, BnStats]], momentum: float
+) -> None:
+    """Fold the batch statistics of a tape (`UNetTape.bn_stats`) into the
+    running statistics, in layer order.  Call once per forward pass, between
+    optimizer steps; the tape itself may be gone by then."""
+    for mean_key, var_key, stats in bn_stats:
         new_mean, new_var = updated_running_stats(
-            bn_tape, params[mean_key], params[var_key], momentum
+            stats, params[mean_key], params[var_key], momentum
         )
         params[mean_key] = new_mean
         params[var_key] = new_var

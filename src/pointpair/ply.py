@@ -16,6 +16,7 @@ from .errors import FormatError, binary_stream, read_exact
 from .geometry import PointCloud
 
 _FLOAT_NAMES = {"float", "float32"}
+_MIN_FIELDS = {"format": 2, "element": 3, "property": 3}  # header keyword -> fields read
 
 
 def _header_lines(n_points: int, feature_dim: int, binary: bool) -> list[str]:
@@ -69,7 +70,10 @@ def _read_line(fh) -> str:
         if ch == b"\n":
             break
         buf.extend(ch)
-    return buf.decode("ascii").strip()
+    try:
+        return buf.decode("ascii").strip()
+    except UnicodeDecodeError:
+        raise FormatError("non-ASCII byte in PLY text") from None
 
 
 def _read_ply_stream(fh) -> PointCloud:
@@ -86,6 +90,8 @@ def _read_ply_stream(fh) -> PointCloud:
         parts = line.split()
         if not parts or parts[0] == "comment":
             continue
+        if len(parts) < _MIN_FIELDS.get(parts[0], 1):
+            raise FormatError(f"PLY header line '{line}' has too few fields")
         if parts[0] == "format":
             if parts[1] == "ascii":
                 binary = False
@@ -95,7 +101,12 @@ def _read_ply_stream(fh) -> PointCloud:
                 raise FormatError(f"unsupported PLY format '{parts[1]}'")
         elif parts[0] == "element":
             if parts[1] == "vertex":
-                n_points = int(parts[2])
+                try:
+                    n_points = int(parts[2])
+                except ValueError:
+                    raise FormatError(f"PLY vertex count '{parts[2]}' is not an integer") from None
+                if n_points < 0:
+                    raise FormatError(f"negative PLY vertex count {n_points}")
                 in_vertex = True
             else:
                 raise FormatError(f"unsupported PLY element '{parts[1]}'")
@@ -123,7 +134,10 @@ def _read_ply_stream(fh) -> PointCloud:
             vals = _read_line(fh).split()
             if len(vals) != width:
                 raise FormatError(f"vertex row {i} has {len(vals)} values, expected {width}")
-            values.append([float(v) for v in vals])
+            try:
+                values.append([float(v) for v in vals])
+            except ValueError:
+                raise FormatError(f"vertex row {i} holds a non-numeric value") from None
         rows = np.array(values, dtype=np.float32).reshape(n_points, width)
     points = rows[:, :3].astype(np.float64)
     features = rows[:, 3:].astype(np.float64) if width > 3 else None

@@ -7,6 +7,11 @@ The pair schedule and every per-step random draw derive from counted seed
 sequences, never from carried generator state, so resuming from a checkpoint
 at iteration k reproduces the uninterrupted run bit for bit.
 
+Memory contract: a step holds the loss's n x n buffer (info_nce) only until
+its gradients are scattered, and each view's U-Net tape only until that
+view's backward pass; the gradients and the BN batch statistics are all that
+outlive `forward_backward`, and `train()` drops them before the next slot.
+
 Checkpoint layout: a PCCK parameter file (config echo + named tensors)
 followed by an optimizer section:
     magic "PCOS" | u64 iteration | u32 tensor count | momentum buffers
@@ -167,7 +172,7 @@ class StepOutcome:
     loss: float
     collapse: float
     grads: GradientSet
-    tapes: tuple
+    bn_stats: list  # both views' `UNetTape.bn_stats`, view 1 first; no tape arrays
 
 
 def forward_backward(
@@ -226,7 +231,6 @@ def forward_backward(
     dn2 = np.zeros_like(n2_full)
     if loss_cfg.variant == VARIANT_INFO_NCE:
         res = info_nce(batch, loss_cfg.tau)
-        loss = res.loss
         dn1[batch.idx1] += res.grad_f1
         dn2[batch.idx2] += res.grad_f2
     else:
@@ -235,7 +239,6 @@ def forward_backward(
         pos1 = v1.points[first_point_indices(s1.origin_map)]
         pos2 = v2.points[first_point_indices(s2.origin_map)]
         res = hardest_contrastive(batch, pool1, pool2, loss_cfg, pos1, pos2)
-        loss = res.loss
         dn1[batch.idx1] += res.grad_f1
         dn2[batch.idx2] += res.grad_f2
         if res.grad_neg1 is not None:
@@ -243,11 +246,16 @@ def forward_backward(
         if res.grad_neg2 is not None:
             np.add.at(dn1, pool2.sources, res.grad_neg2)
 
+    loss = res.loss
+    del res  # info_nce's n x n logit gradient is not needed by the backward
     collapse = collapse_metric(np.vstack([f1b, f2b]))
+    bn_stats = tape1.bn_stats + tape2.bn_stats
     grads, _ = unet.backward(tape1, vjp1(dn1), params)
+    del tape1
     grads2, _ = unet.backward(tape2, vjp2(dn2), params)
+    del tape2
     grads.add_scaled(grads2)
-    return StepOutcome(loss, collapse, grads, (tape1, tape2))
+    return StepOutcome(loss, collapse, grads, bn_stats)
 
 
 def train_step(
@@ -262,16 +270,15 @@ def train_step(
     t0 = time.perf_counter()
     outcome = forward_backward(pair, params, cfg, unet, rng)
     return _optimizer_step(
-        params, outcome.grads, outcome.tapes, state, cfg, outcome.loss, outcome.collapse, t0
+        params, outcome.grads, outcome.bn_stats, state, cfg, outcome.loss, outcome.collapse, t0
     )
 
 
-def _optimizer_step(params, grads, tapes, state, cfg, loss, collapse, t0) -> TrainLogRecord:
-    """The post-backward work of one step: fold the tapes' BN statistics in,
-    take the SGD step at the scheduled rate, advance the iteration and return
-    its log record (`t0` is the step's start time)."""
-    for tape in tapes:
-        commit_bn_stats(params, tape, cfg.unet.bn_momentum)
+def _optimizer_step(params, grads, bn_stats, state, cfg, loss, collapse, t0) -> TrainLogRecord:
+    """The post-backward work of one step: fold the forward passes' BN batch
+    statistics in, take the SGD step at the scheduled rate, advance the
+    iteration and return its log record (`t0` is the step's start time)."""
+    commit_bn_stats(params, bn_stats, cfg.unet.bn_momentum)
     it = state.iteration
     lr = poly_lr(it, cfg)
     sgd_step(params, grads, state, lr, cfg.momentum, cfg.weight_decay)
@@ -358,7 +365,7 @@ def train(
         loss_sum = 0.0
         collapse_sum = 0.0
         produced = 0
-        tapes = []
+        bn_stats = []
         for sub in range(cfg.grad_accum):
             slot = it * cfg.grad_accum + sub
             pair = corpus[_pair_index(cfg.seed, slot, n)]
@@ -373,14 +380,15 @@ def train(
             loss_sum += outcome.loss
             collapse_sum += outcome.collapse
             produced += 1
-            tapes.extend(outcome.tapes)
+            bn_stats.extend(outcome.bn_stats)
+            del outcome  # the next slot's forward_backward runs without it
         if 0 < produced < cfg.grad_accum:
             # skipped slots: the step's gradient is the mean over the produced ones
             for t in total.tensors.values():
                 t *= cfg.grad_accum / produced
         if produced:
             records.append(_optimizer_step(
-                params, total, tapes, state, cfg, loss_sum / produced, collapse_sum / produced, t0
+                params, total, bn_stats, state, cfg, loss_sum / produced, collapse_sum / produced, t0
             ))
         state.iteration = it + 1
         if out_dir and cfg.checkpoint_every and (it + 1) % cfg.checkpoint_every == 0:

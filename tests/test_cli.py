@@ -309,6 +309,41 @@ class TestHugeHeaderCounts:
         assert capsys.readouterr().err.startswith("error: truncated")
 
 
+class TestMalformedPly:
+    def test_pretrain_on_bad_vertex_count_exits_2(self, workdir, capsys):
+        _write_train(workdir / "train.ini", max_iters=1)
+        os.mkdir("pairs")
+        bad = ply_bytes(PointCloud(np.zeros((2, 3)))).replace(b"vertex 2", b"vertex many")
+        (workdir / "pairs" / "bad.pcpr").write_bytes(b"PCPR" + 2 * bad)
+        rc = cli.main(["pretrain", "--pairs", "pairs", "--config", "train.ini", "--out", "run"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: PLY vertex count 'many'")
+
+
+def _boom(*args, **kwargs):
+    raise RuntimeError("boom")
+
+
+class TestUnexpectedFailure:
+    def test_traceback_written_into_out_dir(self, workdir, monkeypatch, capsys):
+        _write_scene(workdir / "scene.ini")
+        monkeypatch.setattr(cli, "synthesize_scene", _boom)
+        assert cli.main(["synth", "--spec", "scene.ini", "--out", "frames"]) == 2
+        path = os.path.join("frames", "traceback.txt")
+        err = capsys.readouterr().err
+        assert err == f"unexpected failure: boom\ntraceback written to {path}\n"
+        text = (workdir / path).read_text()
+        assert text.startswith("Traceback (most recent call last)")
+        assert "in _boom" in text and text.endswith("RuntimeError: boom\n")
+
+    def test_traceback_on_stderr_without_out_dir(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_suite", _boom)
+        assert cli.main(["verify", "--suite", "oracles"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("unexpected failure: boom\nTraceback (most recent call last)")
+        assert "in _boom" in err and err.endswith("RuntimeError: boom\n")
+
+
 class TestVerifyCommand:
     def test_oracle_suite_exits_zero(self, capsys):
         assert cli.main(["verify", "--suite", "oracles"]) == 0

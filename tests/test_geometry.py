@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,3 +287,55 @@ class TestPly:
         data = buf.getvalue()[:-5]
         with pytest.raises(FormatError):
             read_ply(io.BytesIO(data))
+
+    # each malformed header or row once raised ValueError or IndexError
+    _XYZ = b"property float x\nproperty float y\nproperty float z\nend_header\n"
+
+    @pytest.mark.parametrize("blob", [
+        b"ply\nformat ascii 1.0\nelement vertex many\n" + _XYZ,
+        b"ply\nformat ascii 1.0\nelement vertex -3\n" + _XYZ,
+        b"ply\nformat binary_little_endian 1.0\nelement vertex -3\n" + _XYZ,
+        b"ply\nformat\nelement vertex 1\n" + _XYZ + b"0 0 0\n",
+        b"ply\nformat ascii 1.0\nelement vertex\n" + _XYZ + b"0 0 0\n",
+        b"ply\nformat ascii 1.0\nelement vertex 1\nproperty float\n" + _XYZ + b"0 0 0\n",
+        b"ply\nformat ascii 1.0\nelement vertex 1\n" + _XYZ + b"a b c\n",
+        b"ply\nformat ascii 1.0\nelement vertex 1\n" + _XYZ + b"0 0 \xff\n",
+    ], ids=["count-not-int", "negative-count-ascii", "negative-count-binary", "short-format",
+            "short-element", "short-property", "non-numeric-row", "non-ascii-row"])
+    def test_malformed_text_raises_format_error(self, blob):
+        with pytest.raises(FormatError):
+            read_ply(io.BytesIO(blob))
+
+
+def _sq_dists_reference(a, b):
+    """The unblocked expression `pairwise_sq_dists` must reproduce bit for bit."""
+    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+    return np.maximum(sq, 0.0)
+
+
+class TestPairwiseSqDists:
+    B = geometry._DIST_BLOCK_ROWS
+
+    @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+    def test_bitwise_equal_to_unblocked_expression(self, rng, rows):
+        a = rng.standard_normal((rows, 32))
+        b = rng.standard_normal((97, 32))
+        b[5] = a[0] if rows else b[5]  # an exact zero distance, clamped the same way
+        got = geometry.pairwise_sq_dists(a, b)
+        want = _sq_dists_reference(a, b)
+        assert got.shape == want.shape == (rows, 97)
+        assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_one_buffer(self, rng):
+        n, m = 1024, 2048
+        a, b = rng.standard_normal((n, 16)), rng.standard_normal((m, 16))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = geometry.pairwise_sq_dists(a, b)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n, m)
+        assert peak < 1.25 * n * m * 8

@@ -182,9 +182,25 @@ class TestBatchNorm:
     def test_running_stat_update_rule(self, rng):
         feats = rng.standard_normal((50, 3)) * 2 + 1
         _, tape = batch_norm_forward(feats, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), "train")
-        new_mean, new_var = updated_running_stats(tape, np.zeros(3), np.ones(3), 0.1)
+        new_mean, new_var = updated_running_stats(tape.stats, np.zeros(3), np.ones(3), 0.1)
         np.testing.assert_allclose(new_mean, 0.1 * feats.mean(0), atol=1e-12)
         np.testing.assert_allclose(new_var, 0.9 + 0.1 * feats.var(0, ddof=1), atol=1e-12)
+
+    def test_train_mode_bitwise_equal_to_var_and_centring(self, rng):
+        for _ in range(60):
+            n, c = int(rng.integers(2, 3000)), int(rng.integers(1, 70))
+            feats = rng.standard_normal((n, c)) * rng.uniform(0.01, 100.0) + rng.uniform(-50, 50)
+            gamma, beta = rng.uniform(0.5, 1.5, c), rng.standard_normal(c)
+            out, tape = batch_norm_forward(feats, gamma, beta, np.zeros(c), np.ones(c), "train")
+            mean = feats.mean(axis=0)
+            var = feats.var(axis=0)
+            inv_std = 1.0 / np.sqrt(var + 1e-5)
+            xhat = (feats - mean) * inv_std
+            assert tape.inv_std.tobytes() == inv_std.tobytes()
+            assert tape.xhat.tobytes() == xhat.tobytes()
+            assert out.tobytes() == (gamma * xhat + beta).tobytes()
+            assert tape.stats.mean.tobytes() == mean.tobytes()
+            assert tape.stats.var_unbiased.tobytes() == (var * n / (n - 1)).tobytes()
 
     def test_backward_beta_gamma_sums(self, rng):
         feats = rng.standard_normal((30, 4))

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,3 +273,55 @@ class TestMatchBatch:
         with pytest.raises(ValueError):
             MatchBatch(rng.standard_normal((3, 2)), rng.standard_normal((4, 2)),
                        np.zeros(3, np.int64), np.zeros(3, np.int64))
+
+
+def _info_nce_reference(batch, tau):
+    """The out-of-place info_nce that the in-place one must reproduce bit for bit."""
+    if not tau > 0:
+        raise ValueError("tau must be positive")
+    n = len(batch)
+    logits = batch.f1 @ batch.f2.T / tau
+    if not np.isfinite(logits).all():
+        raise FloatingPointError("non-finite logits in info_nce")
+    row_max = logits.max(axis=1, keepdims=True)
+    z = np.exp(logits - row_max)
+    denom = z.sum(axis=1, keepdims=True)
+    log_softmax_diag = (logits - row_max - np.log(denom)).diagonal()
+    loss = float(-log_softmax_diag.mean())
+    logit_grad = (z / denom).copy()
+    np.fill_diagonal(logit_grad, logit_grad.diagonal() - 1.0)
+    logit_grad /= n
+    return loss, logit_grad @ batch.f2 / tau, logit_grad.T @ batch.f1 / tau, logit_grad
+
+
+class TestInfoNceInPlace:
+    @pytest.mark.parametrize("n", [2, 255, 256, 1000])
+    @pytest.mark.parametrize("tau", [0.07, 0.5])
+    def test_bitwise_equal_to_reference(self, rng, n, tau):
+        batch = MatchBatch.from_features(_unit(rng, n, 32), _unit(rng, n, 32))
+        res = info_nce(batch, tau)
+        loss, grad_f1, grad_f2, logit_grad = _info_nce_reference(batch, tau)
+        assert res.loss == loss
+        for got, want in ((res.grad_f1, grad_f1), (res.grad_f2, grad_f2),
+                          (res.logit_grad, logit_grad)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_overflowing_logits_rejected_like_reference(self):
+        batch = MatchBatch.from_features(np.full((2, 2), 1e300), np.full((2, 2), 1e300))
+        for fn in (info_nce, _info_nce_reference):
+            with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+                fn(batch, 1e-300)
+
+    def test_peak_memory_is_one_n_by_n_buffer(self, rng):
+        n = 4096
+        batch = MatchBatch.from_features(_unit(rng, n, 32), _unit(rng, n, 32))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            res = info_nce(batch, 0.07)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert res.logit_grad.shape == (n, n)
+        assert peak < 1.25 * n * n * 8

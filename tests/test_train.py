@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import importlib
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -232,6 +234,83 @@ class TestTrainLoop:
         res = train(small_corpus, _tiny_cfg(max_iters=3, variant="hardest_contrastive"))
         assert len(res.records) == 3
         assert all(np.isfinite(r.loss) for r in res.records)
+
+
+class TestStepMemory:
+    """What a step keeps alive, checked with reference counting alone (gc off):
+    a reference cycle would keep an n x n buffer or a tape alive too long."""
+
+    @pytest.mark.parametrize("variant", ["info_nce", "hardest_contrastive"])
+    def test_loss_result_and_tapes_freed_in_forward_backward(self, small_corpus, monkeypatch,
+                                                             variant):
+        train_module = importlib.import_module("pointpair.train")
+        unet_module = importlib.import_module("pointpair.net.unet")
+        loss_refs, tape_refs, array_refs, seen_alive = [], [], [], []
+
+        def spy(fn, *tape_fields):  # fn returns (output, tape)
+            def wrapped(*args):
+                out, tape = fn(*args)
+                array_refs.extend(weakref.ref(getattr(tape, f)) for f in tape_fields)
+                return out, tape
+            return wrapped
+
+        loss_fn = getattr(train_module, variant)
+
+        def loss_spy(*args):
+            res = loss_fn(*args)
+            loss_refs.append(weakref.ref(res))
+            if variant == "info_nce":
+                loss_refs.append(weakref.ref(res.logit_grad))
+            return res
+
+        unet_backward = UNet.backward
+
+        def backward_spy(self, tape, d_out, params):
+            seen_alive.append([r for r in loss_refs + tape_refs if r() is not None])
+            tape_refs.append(weakref.ref(tape))
+            return unet_backward(self, tape, d_out, params)
+
+        monkeypatch.setattr(train_module, variant, loss_spy)
+        monkeypatch.setattr(unet_module, "batch_norm_forward",
+                            spy(unet_module.batch_norm_forward, "xhat", "inv_std"))
+        monkeypatch.setattr(unet_module, "conv_forward", spy(unet_module.conv_forward, "feats_in"))
+        monkeypatch.setattr(UNet, "backward", backward_spy)
+        cfg = _tiny_cfg(variant=variant)
+        unet = UNet(cfg.unet)
+        params = unet.init_params(0)
+        gc.collect()
+        gc.disable()
+        try:
+            outcome = train_module.forward_backward(small_corpus[0], params, cfg, unet, _step_rng(0, 0))
+            alive = [r for r in loss_refs + tape_refs + array_refs if r() is not None]
+        finally:
+            gc.enable()
+        assert len(seen_alive) == 2 and len(loss_refs) >= 1 and len(array_refs) > 20
+        assert seen_alive == [[], []]  # no loss result at either backward, no tape at the second
+        assert alive == []
+        n_bn = sum(1 for name in params.names() if name.endswith(".running_mean"))
+        assert len(outcome.bn_stats) == 2 * n_bn
+
+    def test_train_drops_each_outcome_before_the_next_slot(self, small_corpus, monkeypatch):
+        train_module = importlib.import_module("pointpair.train")
+        forward_backward = train_module.forward_backward
+        outcome_refs, seen_alive = [], []
+
+        def spy(*args):
+            seen_alive.append(sum(r() is not None for r in outcome_refs))
+            outcome = forward_backward(*args)
+            outcome_refs.append(weakref.ref(outcome))
+            return outcome
+
+        monkeypatch.setattr(train_module, "forward_backward", spy)
+        cfg = dataclasses.replace(_tiny_cfg(max_iters=2), grad_accum=2)
+        gc.collect()
+        gc.disable()
+        try:
+            train(small_corpus, cfg)
+        finally:
+            gc.enable()
+        assert seen_alive == [0, 0, 0, 0]
 
 
 class TestCheckpoint:

@@ -71,7 +71,7 @@ class TestForward:
         out, tape = unet.forward(inp, params, "train")
         grads, _ = unet.backward(tape, np.ones_like(out.features), params)
         assert params.digest() == digest
-        commit_bn_stats(params, tape, cfg.bn_momentum)
+        commit_bn_stats(params, tape.bn_stats, cfg.bn_momentum)
         assert params.digest() != digest  # running stats move only on commit
 
     def test_commit_touches_only_running_stats(self, rng):
@@ -81,7 +81,7 @@ class TestForward:
         before = params.copy()
         inp = _input(rng, 60, cfg.in_dim)
         _, tape = unet.forward(inp, params, "train")
-        commit_bn_stats(params, tape, cfg.bn_momentum)
+        commit_bn_stats(params, tape.bn_stats, cfg.bn_momentum)
         for name in params.names():
             if is_trainable(name):
                 np.testing.assert_array_equal(params[name], before[name])
@@ -169,7 +169,7 @@ class TestRefactorInvariants:
             setitem(self, name, value)
 
         monkeypatch.setattr(ParameterSet, "__setitem__", record)
-        commit_bn_stats(params, tape, cfg.bn_momentum)
+        commit_bn_stats(params, tape.bn_stats, cfg.bn_momentum)
         stats = [name for name, _ in unet.param_specs() if not is_trainable(name)]
         assert sorted(written) == sorted(stats)
         assert len(set(written)) == len(written)
