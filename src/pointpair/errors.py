@@ -55,6 +55,17 @@ def read_struct(fh, fmt: str, what: str) -> tuple:
 
 
 @contextlib.contextmanager
+def invalid_content(what: str):
+    """Re-raise a ValueError met while decoding or validating what a file
+    holds (a non-finite value, an index out of range, a shape numpy cannot
+    make) as a FormatError naming `what`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise FormatError(f"invalid {what}: {exc}") from exc
+
+
+@contextlib.contextmanager
 def binary_stream(target, mode: str):
     """`target` itself if it is a file object, else the file it names opened
     in `mode` ("rb" or "wb")."""

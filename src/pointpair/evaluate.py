@@ -8,7 +8,8 @@ A pair's hit ratio is hits / matches; feature-matching recall is the fraction
 of pairs whose hit ratio exceeds the inlier-ratio threshold.
 
 Evaluation is read-only: networks run in eval mode and the parameter registry
-is never modified.
+is never modified.  Consecutive pairs of one scene often share a view; the
+network feature source runs each such view once (`model_feature_fn`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import pairwise_sq_dists
+from .geometry import PointCloud, pairwise_sq_dists
 from .losses import l2_normalize_rows_with_grad
 from .net.unet import UNet, UNetConfig
 from .net.params import ParameterSet
@@ -117,19 +118,45 @@ def feature_match_recall(
     return FmrReport(fmr, ratios, flags, list(ids))
 
 
+def _same_view(kept_points, kept_feats, view: PointCloud) -> bool:
+    if not np.array_equal(kept_points, view.points):
+        return False
+    if kept_feats is None or view.features is None:
+        return kept_feats is None and view.features is None
+    return np.array_equal(kept_feats, view.features)
+
+
 def model_feature_fn(params: ParameterSet, cfg: UNetConfig, voxel_size: float, normalize: bool = True):
-    """Feature source backed by a network in eval mode (parameters untouched)."""
+    """Feature source backed by a network in eval mode (parameters untouched).
+
+    The returned `fn(pair) -> (f1, f2)` keeps the previous pair's two views: a
+    copy of each view's points and point features, and its output features.
+    A view of the next pair whose points and point features are equal to a
+    kept view's reuses that view's features instead of quantizing it and
+    running the network again; the features are bitwise those of a fresh
+    forward.  The returned arrays are read-only, since one array may serve
+    two pairs.  `params` must not change while `fn` is in use.
+    """
     unet = UNet(cfg)
+    kept: list[tuple[np.ndarray, np.ndarray | None, np.ndarray]] = []  # previous pair's views
+
+    def features(view: PointCloud) -> np.ndarray:
+        for points, feats, out in kept:
+            if _same_view(points, feats, view):
+                return out
+        out, _ = unet.forward(quantize(view, voxel_size), params, "eval")
+        f = out.features
+        if normalize:
+            f, _ = l2_normalize_rows_with_grad(f, strict=False)
+        f.flags.writeable = False
+        return f
 
     def fn(pair: ScenePair):
-        s1 = quantize(pair.x1, voxel_size)
-        s2 = quantize(pair.x2, voxel_size)
-        o1, _ = unet.forward(s1, params, "eval")
-        o2, _ = unet.forward(s2, params, "eval")
-        f1, f2 = o1.features, o2.features
-        if normalize:
-            f1, _ = l2_normalize_rows_with_grad(f1, strict=False)
-            f2, _ = l2_normalize_rows_with_grad(f2, strict=False)
+        f1, f2 = features(pair.x1), features(pair.x2)
+        kept[:] = [
+            (view.points.copy(), None if view.features is None else view.features.copy(), f)
+            for view, f in ((pair.x1, f1), (pair.x2, f2))
+        ]
         return f1, f2
 
     return fn

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigMixin
-from .errors import EmptyViewError, FormatError, binary_stream, read_exact, read_struct
+from .errors import EmptyViewError, FormatError, binary_stream, invalid_content, read_exact, read_struct
 from .geometry import PointCloud
 
 _FRAME_MAGIC = b"PCFD"
@@ -100,7 +100,8 @@ def read_frame(source) -> DepthFrame:
         pose = np.frombuffer(read_exact(fh, 128, "frame pose"), dtype="<f8").reshape(4, 4).copy()
         raw = read_exact(fh, 4 * h * w, "frame depth payload")
     depth = np.frombuffer(raw, dtype="<f4").reshape(h, w).astype(np.float64)
-    return DepthFrame(depth, fx, fy, cx, cy, pose)
+    with invalid_content("frame"):
+        return DepthFrame(depth, fx, fy, cx, cy, pose)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,15 @@ alone says which convolution it is (`stride1_maps`, `stride2_maps`, or
 `swap_maps` of a stride-2 map to upsample).  `sparse_conv_forward` is map
 selection plus that call for a single voxel tensor.
 
+The loop over a map's taps gathers rows with `ndarray.take`, runs one GEMM
+per tap, and accumulates as `y += out[dst]; out[dst] = y`, which moves each
+row once and equals `out[dst] += y` bit for bit (addition commutes).  The
+identity tap (the centre of `stride1_maps`, and every 1-tap map) is the one
+shared `all_rows` array as both dst and src; it runs as a plain GEMM on the
+whole input, with no gather or scatter.  Every GEMM keeps the shape it has
+in the plain loop `out[dst] += feats[src] @ W[k]`, whose results these are
+bit for bit (OpenBLAS row results can change when GEMMs are stacked).
+
 Neighbor index maps depend only on coordinates, so they are built once per
 coordinate set (`CoordContext`) and shared by every layer at that resolution.
 Each map build is one batched sorted-key lookup over all its offsets.  Offset
@@ -105,16 +114,29 @@ def swap_maps(maps: OffsetMaps) -> OffsetMaps:
     return [(src, dst) for dst, src in maps]
 
 
+def _is_identity(dst: np.ndarray, src: np.ndarray, n_in: int, n_out: int) -> bool:
+    """Whether a tap maps every row onto itself: the shared `all_rows` array
+    of `stride1_maps` (its centre tap, and every 1-tap map).  Decided by
+    identity and row count, never by comparing index values."""
+    return dst is src and dst.shape[0] == n_in == n_out
+
+
 def conv_apply(maps: OffsetMaps, feats_in: np.ndarray, kernel: np.ndarray, n_out: int) -> np.ndarray:
     if kernel.shape[0] != len(maps) or kernel.shape[1] != feats_in.shape[1]:
         raise ValueError(
             f"kernel shape {kernel.shape} does not match {len(maps)} offsets "
             f"and {feats_in.shape[1]} input channels"
         )
+    # C-contiguous like a gathered copy: a GEMM on a strided view can round differently
+    feats_in = np.ascontiguousarray(feats_in)
     out = np.zeros((n_out, kernel.shape[2]))
     for k, (dst, src) in enumerate(maps):
-        if dst.size:
-            out[dst] += feats_in[src] @ kernel[k]
+        if _is_identity(dst, src, feats_in.shape[0], n_out):
+            out += feats_in @ kernel[k]
+        elif dst.size:
+            y = feats_in.take(src, axis=0) @ kernel[k]
+            y += out.take(dst, axis=0)  # == out[dst] + y: addition commutes
+            out[dst] = y
     return out
 
 
@@ -125,13 +147,20 @@ def conv_grads(
     d_out: np.ndarray,
     n_in: int,
 ) -> tuple[np.ndarray, np.ndarray]:
+    feats_in = np.ascontiguousarray(feats_in)
+    d_out = np.ascontiguousarray(d_out)
     d_in = np.zeros((n_in, kernel.shape[1]))
     d_kernel = np.zeros_like(kernel)
     for k, (dst, src) in enumerate(maps):
-        if dst.size:
-            g = d_out[dst]
-            d_in[src] += g @ kernel[k].T
-            d_kernel[k] = feats_in[src].T @ g
+        if _is_identity(dst, src, n_in, d_out.shape[0]):
+            d_in += d_out @ kernel[k].T
+            d_kernel[k] = feats_in.T @ d_out
+        elif dst.size:
+            g = d_out.take(dst, axis=0)
+            y = g @ kernel[k].T
+            y += d_in.take(src, axis=0)
+            d_in[src] = y
+            d_kernel[k] = feats_in.take(src, axis=0).T @ g
     return d_in, d_kernel
 
 

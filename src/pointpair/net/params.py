@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import FormatError, binary_stream, read_exact, read_struct
+from ..errors import FormatError, binary_stream, invalid_content, read_exact, read_struct
 
 _PARAMS_MAGIC = b"PCCK"
 
@@ -119,7 +119,8 @@ def _read_tensor(fh) -> tuple[str, np.ndarray]:
     dims = read_struct(fh, f"<{rank}Q", f"shape of '{name}'")
     count = math.prod(dims)  # exact: np.prod would wrap a corrupt header's dims
     raw = read_exact(fh, 8 * count, f"tensor payload for '{name}'")
-    return name, np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+    with invalid_content(f"shape of '{name}'"):  # a zero dim beside one numpy cannot hold
+        return name, np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
 
 
 def write_tensor_section(fh, tensors: dict[str, np.ndarray]) -> None:
@@ -150,8 +151,9 @@ def load_params(source) -> tuple[ParameterSet, dict]:
         (blob_len,) = read_struct(fh, "<I", "config length")
         try:
             config_echo = json.loads(read_exact(fh, blob_len, "config JSON"))
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:  # also JSONDecodeError, UnicodeDecodeError
             raise FormatError(f"config JSON is malformed: {exc}") from exc
         params = ParameterSet(read_tensor_section(fh))
-    params.validate_finite()
+    with invalid_content("parameter file"):
+        params.validate_finite()
     return params, config_echo

@@ -13,8 +13,10 @@ convolution goes through `layers.conv_forward`/`conv_backward` on the kernel
 maps built once per forward pass, one `CoordContext` per level.
 
 Each unit returns a tape with named fields (`ConvBnTape`, `BlockTape`), and
-`UNetTape.units` keeps them by unit name in forward order; the backward pass
-and `relu_masks` read them by name.
+in train mode `UNetTape.units` keeps them by unit name in forward order; the
+backward pass and `relu_masks` read them by name.  An eval-mode forward keeps
+no unit tape, so each activation is freed after its last use; its tape holds
+only the per-level `CoordContext`s.
 
 The output coordinate set always equals the input coordinate set, row for
 row.  Forward passes never mutate the parameter registry; batch-norm batch
@@ -193,8 +195,8 @@ class UNetTape:
     """Everything the backward pass and the BN-stat commit need; single use."""
 
     ctxs: list[CoordContext]
-    units: dict[str, ConvBnTape | BlockTape]  # by unit name, in forward order
-    head: ConvTape
+    units: dict[str, ConvBnTape | BlockTape]  # by unit name, in forward order; {} in eval mode
+    head: ConvTape | None  # None in eval mode
     bn_stats: list[tuple[str, str, BnStats]]  # train mode only; no tape arrays
     used: bool = False
 
@@ -260,8 +262,9 @@ class UNet:
 
         def run(unit, *args):
             out, unit_tape = unit.forward(*args, params, mode, cfg.bn_epsilon)
-            units[unit.name] = unit_tape
-            bn_stats.extend(unit.bn_stats(unit_tape))
+            if mode == "train":  # an eval tape keeps no activation past its last use
+                units[unit.name] = unit_tape
+                bn_stats.extend(unit.bn_stats(unit_tape))
             return out
 
         x = run(self.stem, ctxs[0].stride1_maps(k), inp.features, ctxs[0].n)
@@ -279,13 +282,15 @@ class UNet:
                 x = run(blk, ctxs[l], k, x)
         out, head = conv_forward(ctxs[0].stride1_maps(1), x, params[self.head_key], ctxs[0].n)
 
-        tape = UNetTape(ctxs, units, head, bn_stats)
+        tape = UNetTape(ctxs, units, head if mode == "train" else None, bn_stats)
         out_tensor = SparseVoxelTensor(inp.coords, out, inp.voxel_size, inp.origin_map, inp.hash)
         return out_tensor, tape
 
     def backward(self, tape: UNetTape, d_out: np.ndarray, params: ParameterSet):
         """Exact adjoint of forward: gradient registry plus input-feature grads.
         The kernels are read from the tape, so `params` goes unused."""
+        if tape.head is None:
+            raise ValueError("an eval-mode tape records no activations to run backward on")
         tape.consume()
         cfg = self.cfg
         grads = GradientSet(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyViewError, FormatError, binary_stream, read_exact, read_struct
+from .errors import EmptyViewError, FormatError, binary_stream, invalid_content, read_exact, read_struct
 from .frames import DepthFrame, backproject
 from .geometry import PointCloud, build_index
 from .ply import ply_bytes, read_ply
@@ -192,7 +192,8 @@ def read_pair(source, scene_id: str = "", frame_ids: tuple[int, int] = (0, 1)) -
         raw = read_exact(fh, 8 * count, "match payload")
         (overlap,) = read_struct(fh, "<d", "pair overlap")
     matches = np.frombuffer(raw, dtype="<u4").reshape(count, 2).astype(np.int64)
-    return ScenePair(x1, x2, CorrespondenceMap(matches), overlap, scene_id, frame_ids)
+    with invalid_content("pair"):
+        return ScenePair(x1, x2, CorrespondenceMap(matches), overlap, scene_id, frame_ids)
 
 
 def revalidate_pair(pair: ScenePair, radius: float, overlap_threshold: float) -> None:

@@ -12,7 +12,7 @@ import io
 
 import numpy as np
 
-from .errors import FormatError, binary_stream, read_exact
+from .errors import FormatError, binary_stream, invalid_content, read_exact
 from .geometry import PointCloud
 
 _FLOAT_NAMES = {"float", "float32"}
@@ -141,7 +141,8 @@ def _read_ply_stream(fh) -> PointCloud:
         rows = np.array(values, dtype=np.float32).reshape(n_points, width)
     points = rows[:, :3].astype(np.float64)
     features = rows[:, 3:].astype(np.float64) if width > 3 else None
-    return PointCloud(points, features)
+    with invalid_content("PLY point cloud"):
+        return PointCloud(points, features)
 
 
 def ply_bytes(pc: PointCloud, binary: bool = True) -> bytes:

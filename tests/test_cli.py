@@ -320,6 +320,17 @@ class TestMalformedPly:
         assert capsys.readouterr().err.startswith("error: PLY vertex count 'many'")
 
 
+class TestInvalidPairContent:
+    def test_pretrain_on_out_of_range_match_exits_2(self, workdir, capsys):
+        _write_train(workdir / "train.ini", max_iters=1)
+        os.mkdir("pairs")
+        view = ply_bytes(PointCloud(np.zeros((2, 3))))
+        (workdir / "pairs" / "bad.pcpr").write_bytes(b"PCPR" + 2 * view + struct.pack("<Q2Id", 1, 9, 0, 0.5))
+        rc = cli.main(["pretrain", "--pairs", "pairs", "--config", "train.ini", "--out", "run"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: invalid pair: correspondence indices out of range")
+
+
 def _boom(*args, **kwargs):
     raise RuntimeError("boom")
 

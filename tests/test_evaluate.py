@@ -15,9 +15,11 @@ from pointpair.evaluate import (
     write_report,
 )
 from pointpair.geometry import PointCloud, RigidScaleTransform, apply_transform
-from pointpair.net.unet import UNet
-from pointpair.pairs import ScenePair, compute_correspondences
+from pointpair.losses import l2_normalize_rows_with_grad
+from pointpair.net.unet import UNet, UNetConfig
+from pointpair.pairs import CorrespondenceMap, ScenePair, compute_correspondences
 from pointpair.verify import tiny_unet_config
+from pointpair.voxel import quantize
 
 VOX = 0.05
 
@@ -122,3 +124,109 @@ class TestFmr:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FmrConfig(inlier_distance=0.0)
+
+
+def _tiny_cfg(in_dim=1):
+    return UNetConfig(levels=2, channels=(3, 4), blocks_per_level=1, in_dim=in_dim, out_dim=3)
+
+
+def _forward_features(params, cfg, view, normalize):
+    """One view's features straight from the network."""
+    out, _ = UNet(cfg).forward(quantize(view, VOX), params, "eval")
+    if not normalize:
+        return out.features
+    return l2_normalize_rows_with_grad(out.features, strict=False)[0]
+
+
+def _pair(x1, x2):
+    return ScenePair(x1, x2, CorrespondenceMap(np.array([[0, 0]])), 1.0)
+
+
+class TestViewReuse:
+    """`model_feature_fn` runs the network once per view the previous pair
+    does not hold, and returns what fresh forwards would."""
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        calls = []
+        forward = UNet.forward
+
+        def counting(self, inp, params, mode="train"):
+            calls.append(len(inp))
+            return forward(self, inp, params, mode)
+
+        monkeypatch.setattr(UNet, "forward", counting)
+        return calls
+
+    @staticmethod
+    def _views(rng, k, n=150):
+        return [PointCloud(rng.uniform(0, 1, (n + 10 * i, 3))) for i in range(k)]
+
+    def test_shared_views_bitwise_equal_fresh_forwards_and_run_once(self, rng, counted):
+        cfg = _tiny_cfg()
+        params = UNet(cfg).init_params(2)
+        a, b, c, d = self._views(rng, 4)
+        a_again = PointCloud(a.points.copy())  # equal values in a new object
+        pairs = [_pair(a, b), _pair(b, c), _pair(c, b), _pair(a_again, b), _pair(d, a), _pair(d, a)]
+        new_views = [2, 1, 0, 1, 1, 0]
+
+        fn = model_feature_fn(params, cfg, VOX)
+        for pair, n_new in zip(pairs, new_views):
+            before = len(counted)
+            got = fn(pair)
+            assert len(counted) - before == n_new
+            want = model_feature_fn(params, cfg, VOX)(pair)  # a fresh cache runs both views
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+        for normalize in (True, False):
+            f1, _ = model_feature_fn(params, cfg, VOX, normalize)(pairs[0])
+            assert f1.tobytes() == _forward_features(params, cfg, a, normalize).tobytes()
+
+    def test_equal_points_with_other_features_run_again(self, rng, counted):
+        cfg = _tiny_cfg(in_dim=2)
+        params = UNet(cfg).init_params(5)
+        pts = rng.uniform(0, 1, (150, 3))
+        other = PointCloud(rng.uniform(0, 1, (140, 3)), rng.standard_normal((140, 2)))
+        v1 = PointCloud(pts, rng.standard_normal((150, 2)))
+        v2 = PointCloud(pts.copy(), rng.standard_normal((150, 2)))
+        fn = model_feature_fn(params, cfg, VOX)
+        f_first, _ = fn(_pair(v1, other))
+        assert len(counted) == 2
+        f_second, _ = fn(_pair(v2, other))
+        assert len(counted) == 3  # v2 runs, `other` is reused
+        assert f_second.tobytes() != f_first.tobytes()
+
+    def test_features_against_none_run_again(self, rng, counted):
+        cfg = _tiny_cfg()
+        params = UNet(cfg).init_params(5)
+        pts = rng.uniform(0, 1, (150, 3))
+        fn = model_feature_fn(params, cfg, VOX)
+        (b,) = self._views(rng, 1)
+        fn(_pair(PointCloud(pts), b))
+        fn(_pair(PointCloud(pts.copy(), np.ones((150, 1))), b))
+        assert len(counted) == 3
+
+    def test_mutated_kept_points_run_again(self, rng, counted):
+        cfg = _tiny_cfg()
+        params = UNet(cfg).init_params(3)
+        a, b = self._views(rng, 2)
+        pair = _pair(a, b)
+        fn = model_feature_fn(params, cfg, VOX)
+        fn(pair)
+        a.points.flags.writeable = True
+        a.points[:10] += 0.3  # the same object, changed in place after the call
+        got = fn(pair)
+        assert len(counted) == 3  # `a` runs again, `b` is reused
+        want = model_feature_fn(params, cfg, VOX)(pair)
+        assert got[0].tobytes() == want[0].tobytes()
+
+    def test_returned_features_are_read_only(self, rng):
+        cfg = _tiny_cfg()
+        params = UNet(cfg).init_params(1)
+        a, b = self._views(rng, 2)
+        for normalize in (True, False):
+            fn = model_feature_fn(params, cfg, VOX, normalize)
+            for f in fn(_pair(a, b)) + fn(_pair(b, a)):
+                assert not f.flags.writeable
+                with pytest.raises(ValueError):
+                    f[0, 0] = 1.0

@@ -237,3 +237,60 @@ class TestParamsIO:
         p.add("w", np.zeros(2))
         with pytest.raises(ValueError):
             p.add("w", np.zeros(2))
+
+
+class TestEvalTape:
+    """An eval-mode forward keeps no unit tape, only the per-level contexts."""
+
+    def test_eval_tape_holds_contexts_only(self, rng):
+        cfg = tiny_unet_config()
+        unet = UNet(cfg)
+        params = unet.init_params(0)
+        inp = _input(rng, 80, cfg.in_dim)
+        out, tape = unet.forward(inp, params, "eval")
+        assert len(tape.ctxs) == cfg.levels
+        assert tape.ctxs[0].n == 80
+        assert tape.units == {} and tape.head is None and tape.bn_stats == []
+        assert relu_masks(tape) == []
+        with pytest.raises(ValueError, match="eval-mode tape"):
+            unet.backward(tape, np.ones_like(out.features), params)
+
+    def test_eval_forward_peak_under_half_of_a_recording_forward(self, rng, monkeypatch):
+        import tracemalloc
+
+        import pointpair.net.unet as unet_module
+
+        cfg = UNetConfig(levels=3, channels=(16, 32, 64), blocks_per_level=1, in_dim=1, out_dim=32)
+        unet = UNet(cfg)
+        params = unet.init_params(0)
+        inp = SparseVoxelTensor(random_coords(rng, 3500, 24), np.ones((3500, 1)), 0.025)
+
+        def peak_of_forward():
+            tracemalloc.start()
+            try:
+                out, _ = unet.forward(inp, params, "eval")
+                return out.features, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        unet.forward(inp, params, "eval")  # warm any lazily built state
+        lean, lean_peak = peak_of_forward()
+
+        # A forward that holds every unit's tape until it returns, as a
+        # recording (train-style) tape does.
+        held = []
+
+        def holding(fn):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                held.append(result)
+                return result
+            return wrapper
+
+        monkeypatch.setattr(unet_module.ConvBn, "forward", holding(unet_module.ConvBn.forward))
+        monkeypatch.setattr(unet_module.ResidualBlock, "forward", holding(unet_module.ResidualBlock.forward))
+        monkeypatch.setattr(unet_module, "conv_forward", holding(unet_module.conv_forward))
+        recorded, recorded_peak = peak_of_forward()
+
+        assert lean.tobytes() == recorded.tobytes()
+        assert lean_peak < 0.5 * recorded_peak
