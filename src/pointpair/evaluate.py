@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointCloud, pairwise_sq_dists
+from .geometry import PointCloud, nearest_rows
 from .losses import l2_normalize_rows_with_grad
 from .net.unet import UNet, UNetConfig
 from .net.params import ParameterSet
@@ -71,6 +71,9 @@ def hit_ratio(
 
     f1 and f2 must be row-aligned with the pair's views quantized at
     `voxel_size` (as produced by `voxelize_pair` / the feature functions).
+    The feature-space search is `geometry.nearest_rows`: it holds the
+    distances of one row block of matches at a time, never the full
+    matches x view-2 matrix.
     """
     vp = voxelize_pair(pair, voxel_size)
     if vp.row_matches.shape[0] == 0:
@@ -79,7 +82,7 @@ def hit_ratio(
         raise ValueError("features are not row-aligned with the voxelized views")
     src = vp.row_matches[:, 0]
     gt = vp.row_matches[:, 1]
-    j_hat = pairwise_sq_dists(f1[src], f2).argmin(axis=1)  # ties: lowest row index
+    j_hat = nearest_rows(f1[src], f2)  # ties: lowest row index
     err = np.linalg.norm(vp.rep2[j_hat] - vp.rep2[gt], axis=1)
     return float(np.count_nonzero(err <= inlier_distance)) / src.shape[0]
 

@@ -38,11 +38,15 @@ class DepthFrame:
         depth = np.asarray(self.depth, dtype=np.float64)
         if depth.ndim != 2:
             raise ValueError(f"depth must be a 2D array, got shape {depth.shape}")
+        if not np.isfinite([self.fx, self.fy, self.cx, self.cy]).all():
+            raise ValueError("intrinsics must be finite")
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
         pose = np.asarray(self.pose, dtype=np.float64)
         if pose.shape != (4, 4):
             raise ValueError(f"pose must be 4x4, got {pose.shape}")
+        if not np.isfinite(pose).all():
+            raise ValueError("pose must be finite")
         rot = pose[:3, :3]
         if np.abs(rot.T @ rot - np.eye(3)).max() > _ORTHO_TOL or abs(np.linalg.det(rot) - 1.0) > _ORTHO_TOL:
             raise ValueError("pose rotation block must be orthonormal with det +1")

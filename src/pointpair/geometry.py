@@ -6,6 +6,10 @@ at distance <= radius, or (-1, inf) when there is none.  Ties are broken by
 the lowest reference index, and every candidate distance is summed as
 dx*dx + dy*dy + dz*dz, the order of the brute-force scan, so wherever that
 scan finds a point within the radius the two agree bit for bit.
+
+Dense searches over feature rows (`nearest_rows`, and the info_nce loss) hold
+at most `BLOCK_ELEMENTS` float64 distances or logits at once: they walk the
+query rows in blocks instead of building the full quadratic matrix.
 """
 
 from __future__ import annotations
@@ -154,6 +158,12 @@ def brute_force_nearest(pc: PointCloud, query) -> tuple[int, float]:
 
 _DIST_BLOCK_ROWS = 64  # rows of temporaries held at once by pairwise_sq_dists
 
+# Entries (float64: 8 MiB) of the largest row block that `nearest_rows` and
+# `losses.info_nce` hold at once.  A GEMM over a row block can round
+# differently from one over all rows, so results are bitwise those of the
+# unblocked computation only where one block covers the call.
+BLOCK_ELEMENTS = 1 << 20
+
 
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) squared Euclidean distances between row vectors,
@@ -171,6 +181,23 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         r = slice(start, start + _DIST_BLOCK_ROWS)
         np.maximum((an[r] + bn) - 2.0 * g[r], 0.0, out=g[r])
     return g
+
+
+def nearest_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For every row of `a`, the index of the row of `b` at the least
+    squared distance (`pairwise_sq_dists`); ties go to the lowest index.
+
+    Memory: the distances of one block of `a`'s rows at a time, at most
+    `BLOCK_ELEMENTS` entries (one row when a single row of `b` exceeds it).
+    When `len(a) * len(b) <= BLOCK_ELEMENTS` this is one call, bitwise
+    `pairwise_sq_dists(a, b).argmin(axis=1)`.
+    """
+    rows = max(1, BLOCK_ELEMENTS // max(1, b.shape[0]))
+    out = np.empty(a.shape[0], dtype=np.intp)
+    for start in range(0, a.shape[0], rows):
+        r = slice(start, start + rows)
+        out[r] = pairwise_sq_dists(a[r], b).argmin(axis=1)
+    return out
 
 
 _OFFSETS = np.array([-1.0, 0.0, 1.0])

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigMixin
-from .geometry import pairwise_sq_dists
+from .geometry import BLOCK_ELEMENTS, pairwise_sq_dists
 from .pairs import CorrespondenceMap
 
 log = logging.getLogger(__name__)
@@ -159,35 +159,57 @@ class InfoNceResult:
     loss: float
     grad_f1: np.ndarray
     grad_f2: np.ndarray
-    logit_grad: np.ndarray  # d loss / d logits, rows sum to 0
 
 
 def info_nce(batch: MatchBatch, tau: float) -> InfoNceResult:
     """Softmax cross-entropy over f1 @ f2.T / tau with diagonal labels.
 
-    Memory: one n x n float64 buffer holds the logits, then the softmax, then
-    the logit gradient it returns; each step overwrites it in place with the
-    same elementwise operations, in the same order, as the out-of-place form.
+    Memory: the rows of f1 are taken in blocks of max(1, BLOCK_ELEMENTS // n),
+    so one block of logits (at most 8 MiB at n <= 2^20) is held at a time.
+    Each row's softmax needs only its own row, so a block is complete as it
+    stands.  In the block buffer the logits become the softmax and then the
+    logit gradient; each step is done in place with the same elementwise
+    operations, in the same order, as the out-of-place form.  grad_f1 takes
+    the block's rows and grad_f2 sums every block's contribution.  When
+    n * n <= BLOCK_ELEMENTS one block covers the batch and the result is
+    bitwise that of the unblocked computation; with more blocks the GEMMs
+    and the grad_f2 sum round differently.
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
     n = len(batch)
-    z = batch.f1 @ batch.f2.T
-    z /= tau
-    if not np.isfinite(z).all():
-        raise FloatingPointError("non-finite logits in info_nce")
-    row_max = z.max(axis=1, keepdims=True)
-    shifted_diag = z.diagonal() - row_max[:, 0]  # taken before z is overwritten
-    z -= row_max
-    np.exp(z, out=z)
-    denom = z.sum(axis=1, keepdims=True)
-    loss = float(-(shifted_diag - np.log(denom)[:, 0]).mean())
-    z /= denom
-    np.fill_diagonal(z, z.diagonal() - 1.0)
-    z /= n
-    grad_f1 = z @ batch.f2 / tau
-    grad_f2 = z.T @ batch.f1 / tau
-    return InfoNceResult(loss, grad_f1, grad_f2, z)
+    if n < 1:
+        raise ValueError("info_nce needs at least one match")
+    f1, f2 = batch.f1, batch.f2
+    rows = max(1, BLOCK_ELEMENTS // n)
+    terms = np.empty(n)  # per-row log-softmax of the positive
+    grad_f1 = np.empty_like(f1)
+    grad_f2 = None
+    for start in range(0, n, rows):
+        r = slice(start, start + rows)
+        z = f1[r] @ f2.T
+        z /= tau
+        if not np.isfinite(z).all():
+            raise FloatingPointError("non-finite logits in info_nce")
+        diag = z.reshape(-1)[start :: n + 1]  # view of entries (k, start + k)
+        row_max = z.max(axis=1, keepdims=True)
+        shifted_diag = diag - row_max[:, 0]  # taken before z is overwritten
+        z -= row_max
+        np.exp(z, out=z)
+        denom = z.sum(axis=1, keepdims=True)
+        terms[r] = shifted_diag - np.log(denom)[:, 0]
+        z /= denom
+        diag -= 1.0
+        z /= n
+        grad_f1[r] = z @ f2 / tau
+        part = z.T @ f1[r]
+        if grad_f2 is None:  # kept as is: adding it to zeros would turn -0.0 into +0.0
+            grad_f2 = part
+        else:
+            grad_f2 += part
+        del z, diag  # freed before the next block's logits are allocated
+    grad_f2 /= tau
+    return InfoNceResult(float(-terms.mean()), grad_f1, grad_f2)
 
 
 @dataclass(frozen=True)

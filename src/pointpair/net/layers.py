@@ -33,6 +33,7 @@ reordered by dst where the coordinates are not sorted by packed key.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,14 +42,20 @@ from ..errors import DegenerateBatchError
 from ..voxel import SparseVoxelTensor, VoxelHashMap, pack_coords, unpack_coords
 
 
+@functools.cache
 def kernel_offsets(kernel_size: int) -> np.ndarray:
-    """Centered lexicographic offsets, shape (kernel_size^3, 3)."""
+    """Centered lexicographic offsets, shape (kernel_size^3, 3).
+
+    Built once per kernel size; every caller shares the one read-only array.
+    """
     if kernel_size < 1 or kernel_size % 2 == 0:
         raise ValueError("kernel_size must be a positive odd integer")
     r = kernel_size // 2
     ax = np.arange(-r, r + 1, dtype=np.int64)
     grid = np.meshgrid(ax, ax, ax, indexing="ij")
-    return np.stack([g.ravel() for g in grid], axis=1)
+    offs = np.stack([g.ravel() for g in grid], axis=1)
+    offs.flags.writeable = False
+    return offs
 
 
 # One (dst, src) row-index pair per kernel offset.  dst indexes output rows,
@@ -304,8 +311,12 @@ def updated_running_stats(
 
 
 def relu_forward(feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mask = feats > 0
-    return np.where(mask, feats, 0.0), mask
+    """max(feats, 0) and the mask feats > 0.  The output is bitwise
+    np.where(feats > 0, feats, 0.0): fmax maps NaN to 0, and adding 0.0
+    turns -0.0 into +0.0."""
+    out = np.fmax(feats, 0.0)
+    out += 0.0
+    return out, feats > 0
 
 
 def relu_backward(mask: np.ndarray, d_out: np.ndarray) -> np.ndarray:

@@ -153,6 +153,8 @@ def load_params(source) -> tuple[ParameterSet, dict]:
             config_echo = json.loads(read_exact(fh, blob_len, "config JSON"))
         except (ValueError, RecursionError) as exc:  # also JSONDecodeError, UnicodeDecodeError
             raise FormatError(f"config JSON is malformed: {exc}") from exc
+        if not isinstance(config_echo, dict):
+            raise FormatError(f"config JSON is not an object: {type(config_echo).__name__}")
         params = ParameterSet(read_tensor_section(fh))
     with invalid_content("parameter file"):
         params.validate_finite()

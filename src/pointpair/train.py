@@ -7,9 +7,10 @@ The pair schedule and every per-step random draw derive from counted seed
 sequences, never from carried generator state, so resuming from a checkpoint
 at iteration k reproduces the uninterrupted run bit for bit.
 
-Memory contract: a step holds the loss's n x n buffer (info_nce) only until
-its gradients are scattered, and each view's U-Net tape only until that
-view's backward pass; the gradients and the BN batch statistics are all that
+Memory contract: a step holds the loss result only until its gradients are
+scattered (info_nce itself holds one row block of logits at a time, never
+the n x n matrix), and each view's U-Net tape only until that view's
+backward pass; the gradients and the BN batch statistics are all that
 outlive `forward_backward`, and `train()` drops them before the next slot.
 
 Checkpoint layout: a PCCK parameter file (config echo + named tensors)
@@ -247,7 +248,7 @@ def forward_backward(
             np.add.at(dn1, pool2.sources, res.grad_neg2)
 
     loss = res.loss
-    del res  # info_nce's n x n logit gradient is not needed by the backward
+    del res  # the loss gradients are scattered; the backward needs only dn1, dn2
     collapse = collapse_metric(np.vstack([f1b, f2b]))
     bn_stats = tape1.bn_stats + tape2.bn_stats
     grads, _ = unet.backward(tape1, vjp1(dn1), params)

@@ -12,8 +12,10 @@ from pointpair.frames import read_frame
 from pointpair.geometry import PointCloud
 from pointpair.net import layers
 from pointpair.net.params import load_params
+from pointpair.net.unet import UNet, UNetConfig
 from pointpair.pairs import read_pair
 from pointpair.ply import ply_bytes, read_ply
+from pointpair.train import OptimizerState, save_checkpoint
 
 
 @pytest.fixture()
@@ -329,6 +331,46 @@ class TestInvalidPairContent:
         rc = cli.main(["pretrain", "--pairs", "pairs", "--config", "train.ini", "--out", "run"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: invalid pair: correspondence indices out of range")
+
+
+def _frame_bytes(fx=60.0, cx=2.0, pose=None) -> bytes:
+    """A 4 x 4 frame file of unit depth, written field by field so that it
+    can hold values `DepthFrame` rejects."""
+    pose = np.eye(4) if pose is None else pose
+    return (b"PCFD" + struct.pack("<II", 4, 4) + struct.pack("<4d", fx, 60.0, cx, 2.0)
+            + pose.astype("<f8").tobytes() + np.ones(16, "<f4").tobytes())
+
+
+def _pose_with(row, col, value):
+    pose = np.eye(4)
+    pose[row, col] = value
+    return pose
+
+
+class TestNonFiniteFrame:
+    @pytest.mark.parametrize("blob", [
+        _frame_bytes(pose=_pose_with(0, 3, np.nan)),
+        _frame_bytes(pose=_pose_with(1, 1, np.nan)),
+        _frame_bytes(fx=np.inf),
+        _frame_bytes(cx=np.nan),
+    ], ids=["nan_translation", "nan_rotation", "inf_fx", "nan_cx"])
+    def test_pairgen_exits_2(self, workdir, capsys, blob):
+        os.mkdir("frames")
+        (workdir / "frames" / "a.pcfd").write_bytes(_frame_bytes())
+        (workdir / "frames" / "b.pcfd").write_bytes(blob)
+        with pytest.raises(FormatError, match="must be finite"):
+            read_frame(str(workdir / "frames" / "b.pcfd"))
+        assert cli.main(["pairgen", "--frames", "frames", "--out", "pairs"]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid frame:")
+
+
+class TestConfigEchoType:
+    def test_eval_on_list_echo_exits_2(self, workdir, capsys):
+        params = UNet(UNetConfig(levels=2, channels=(4, 6), out_dim=8)).init_params(0)
+        save_checkpoint("list.ckpt", params, [1, 2], OptimizerState.zeros(params))
+        rc = cli.main(["eval", "--checkpoint", "list.ckpt", "--pairs", "pairs", "--out", "ev"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: config JSON is not an object")
 
 
 def _boom(*args, **kwargs):

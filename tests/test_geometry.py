@@ -339,3 +339,40 @@ class TestPairwiseSqDists:
             tracemalloc.stop()
         assert out.shape == (n, m)
         assert peak < 1.25 * n * m * 8
+
+
+class TestNearestRows:
+    @pytest.mark.parametrize("shape", [(1, 1), (200, 97), (1024, 1024), (534, 793)])
+    def test_one_block_bitwise_equal_to_argmin(self, rng, shape):
+        n, m = shape
+        assert n * m <= geometry.BLOCK_ELEMENTS
+        a, b = rng.standard_normal((n, 32)), rng.standard_normal((m, 32))
+        b[m // 2] = b[0]  # an exact tie, resolved to the lower index
+        a[0] = b[0]
+        got = geometry.nearest_rows(a, b)
+        np.testing.assert_array_equal(got, geometry.pairwise_sq_dists(a, b).argmin(axis=1))
+        assert got[0] == 0
+
+    @pytest.mark.parametrize("shape", [(1025, 1024), (2509, 3400), (3, geometry.BLOCK_ELEMENTS + 1)])
+    def test_row_blocks_equal_argmin_without_near_ties(self, rng, shape):
+        n, m = shape
+        assert n * m > geometry.BLOCK_ELEMENTS
+        # rows of b far apart relative to the noise on a: no near-ties
+        b = rng.standard_normal((m, 3)) * 100.0
+        a = b[rng.integers(0, m, n)] + rng.standard_normal((n, 3)) * 1e-3
+        got = geometry.nearest_rows(a, b)
+        np.testing.assert_array_equal(got, geometry.pairwise_sq_dists(a, b).argmin(axis=1))
+
+    def test_peak_memory_is_row_blocks(self, rng):
+        n, m = 4096, 8192  # a full distance matrix would be 256 MiB
+        a, b = rng.standard_normal((n, 32)), rng.standard_normal((m, 32))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            got = geometry.nearest_rows(a, b)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (n,)
+        assert peak < 32 * 2**20

@@ -1,5 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pointpair.errors import DegenerateBatchError
 from pointpair.net.layers import (
@@ -37,6 +42,17 @@ class TestKernelOffsets:
     def test_rejects_even_kernel(self):
         with pytest.raises(ValueError):
             kernel_offsets(2)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_cached_read_only_and_equal_to_fresh_build(self, k):
+        offs = kernel_offsets(k)
+        assert kernel_offsets(k) is offs
+        assert not offs.flags.writeable
+        with pytest.raises(ValueError):
+            offs[0, 0] = 7
+        r = range(-(k // 2), k // 2 + 1)
+        fresh = np.array(list(itertools.product(r, r, r)), dtype=np.int64)
+        assert offs.dtype == fresh.dtype and np.array_equal(offs, fresh)
 
 
 class TestSparseConv:
@@ -218,6 +234,17 @@ class TestRelu:
         out, mask = relu_forward(x)
         np.testing.assert_array_equal(out, [[0.0, 0.0, 2.0]])
         np.testing.assert_array_equal(mask, [[False, False, True]])
+
+    @settings(max_examples=200, deadline=None)
+    @example(np.array([[np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308]]))
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+                      elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+                      | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan])))
+    def test_forward_bitwise_equal_to_where(self, x):
+        out, mask = relu_forward(x)
+        want = np.where(x > 0, x, 0.0)
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+        assert mask.dtype == bool and np.array_equal(mask, x > 0)
 
     def test_gradient_mask_equals_positivity(self, rng):
         x = rng.standard_normal((10, 5))

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pointpair.geometry import BLOCK_ELEMENTS
 from pointpair.losses import (
     LossConfig,
     MatchBatch,
@@ -147,9 +148,12 @@ class TestInfoNce:
         assert permuted == pytest.approx(base, abs=1e-12)
 
     def test_logit_gradient_rows_sum_to_zero(self, rng):
-        f1, f2 = _unit(rng, 32, 5), _unit(rng, 32, 5)
+        # grad_f1 = (d loss / d logits) @ f2 / tau: with every f2 row equal to
+        # v, row k of grad_f1 is (row k's logit-gradient sum) * v / tau
+        f1 = _unit(rng, 32, 5)
+        f2 = np.tile(_unit(rng, 1, 5), (32, 1))
         res = info_nce(MatchBatch.from_features(f1, f2), 0.1)
-        np.testing.assert_allclose(res.logit_grad.sum(axis=1), 0.0, atol=1e-12)
+        np.testing.assert_allclose(res.grad_f1, 0.0, atol=1e-12)
 
     def test_loss_vanishes_with_strong_alignment(self, rng):
         f = _unit(rng, 16, 8)
@@ -160,6 +164,10 @@ class TestInfoNce:
         f = np.full((2, 2), 1e300)
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
             info_nce(MatchBatch.from_features(f, f.copy()), 1e-300)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="at least one match"):
+            info_nce(MatchBatch.from_features(np.zeros((0, 4)), np.zeros((0, 4))), 0.1)
 
 
 class TestHardestContrastive:
@@ -291,20 +299,48 @@ def _info_nce_reference(batch, tau):
     logit_grad = (z / denom).copy()
     np.fill_diagonal(logit_grad, logit_grad.diagonal() - 1.0)
     logit_grad /= n
-    return loss, logit_grad @ batch.f2 / tau, logit_grad.T @ batch.f1 / tau, logit_grad
+    return loss, logit_grad @ batch.f2 / tau, logit_grad.T @ batch.f1 / tau
+
+
+def _info_nce_unblocked(batch, tau):
+    """info_nce on one n x n buffer, as it was before the row blocks: the
+    reference at sizes where `_info_nce_reference`'s temporaries would need
+    several n x n buffers."""
+    n = len(batch)
+    z = batch.f1 @ batch.f2.T
+    z /= tau
+    row_max = z.max(axis=1, keepdims=True)
+    shifted_diag = z.diagonal() - row_max[:, 0]
+    z -= row_max
+    np.exp(z, out=z)
+    denom = z.sum(axis=1, keepdims=True)
+    loss = float(-(shifted_diag - np.log(denom)[:, 0]).mean())
+    z /= denom
+    np.fill_diagonal(z, z.diagonal() - 1.0)
+    z /= n
+    return loss, z @ batch.f2 / tau, z.T @ batch.f1 / tau
 
 
 class TestInfoNceInPlace:
-    @pytest.mark.parametrize("n", [2, 255, 256, 1000])
+    @pytest.mark.parametrize("n", [2, 255, 256, 1000, 1024])  # one row block: n * n <= 2^20
     @pytest.mark.parametrize("tau", [0.07, 0.5])
     def test_bitwise_equal_to_reference(self, rng, n, tau):
         batch = MatchBatch.from_features(_unit(rng, n, 32), _unit(rng, n, 32))
         res = info_nce(batch, tau)
-        loss, grad_f1, grad_f2, logit_grad = _info_nce_reference(batch, tau)
+        loss, grad_f1, grad_f2 = _info_nce_reference(batch, tau)
         assert res.loss == loss
-        for got, want in ((res.grad_f1, grad_f1), (res.grad_f2, grad_f2),
-                          (res.logit_grad, logit_grad)):
+        for got, want in ((res.grad_f1, grad_f1), (res.grad_f2, grad_f2)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1025, 2509, 4096])
+    def test_row_blocks_agree_with_unblocked(self, rng, n):
+        assert n * n > BLOCK_ELEMENTS
+        batch = MatchBatch.from_features(_unit(rng, n, 32), _unit(rng, n, 32))
+        res = info_nce(batch, 0.07)
+        loss, grad_f1, grad_f2 = _info_nce_unblocked(batch, 0.07)
+        assert res.loss == pytest.approx(loss, rel=1e-12)
+        for got, want in ((res.grad_f1, grad_f1), (res.grad_f2, grad_f2)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_overflowing_logits_rejected_like_reference(self):
         batch = MatchBatch.from_features(np.full((2, 2), 1e300), np.full((2, 2), 1e300))
@@ -312,8 +348,8 @@ class TestInfoNceInPlace:
             with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
                 fn(batch, 1e-300)
 
-    def test_peak_memory_is_one_n_by_n_buffer(self, rng):
-        n = 4096
+    def test_peak_memory_is_row_blocks(self, rng):
+        n = 4096  # an n x n buffer would be 128 MiB
         batch = MatchBatch.from_features(_unit(rng, n, 32), _unit(rng, n, 32))
         tracemalloc.start()
         try:
@@ -323,5 +359,5 @@ class TestInfoNceInPlace:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert res.logit_grad.shape == (n, n)
-        assert peak < 1.25 * n * n * 8
+        assert res.grad_f1.shape == res.grad_f2.shape == (n, 32)
+        assert peak < 32 * 2**20
