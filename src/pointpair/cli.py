@@ -38,7 +38,7 @@ from .evaluate import (
 )
 from .frames import SyntheticSceneSpec, read_frame, synthesize_scene, write_frame
 from .net.unet import UNet
-from .pairs import generate_pairs, read_pair, revalidate_pair, write_pair
+from .pairs import generate_pairs, read_pair, write_pair
 from .train import TrainConfig, load_checkpoint, train
 from .verify import run_suite
 
@@ -182,7 +182,6 @@ def cmd_pairgen(args) -> int:
     for k, pair in enumerate(pairs):
         path = os.path.join(args.out, f"pair_{k:04d}.pcpr")
         _atomic_write(path, lambda fh, p=pair: write_pair(p, fh))
-        revalidate_pair(read_pair(path), args.radius, args.threshold)
     print(f"{len(pairs)} pairs (stride={args.stride}, threshold={args.threshold}, radius={args.radius})")
     return 0
 

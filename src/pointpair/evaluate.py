@@ -25,7 +25,7 @@ from .losses import l2_normalize_rows_with_grad
 from .net.unet import UNet, UNetConfig
 from .net.params import ParameterSet
 from .pairs import ScenePair
-from .voxel import SparseVoxelTensor, collapse_matches_to_voxels, first_point_indices, quantize
+from .voxel import SparseVoxelTensor, collapse_matches_to_voxels, quantize
 
 
 @dataclass(frozen=True)
@@ -40,23 +40,18 @@ class FmrConfig:
 
 @dataclass
 class VoxelizedPair:
-    """A pair quantized for evaluation, with voxel-row matches and the
-    representative world point of every voxel row."""
+    """A pair quantized for evaluation, with its voxel-row matches."""
 
     s1: SparseVoxelTensor
     s2: SparseVoxelTensor
     row_matches: np.ndarray
-    rep1: np.ndarray
-    rep2: np.ndarray
 
 
 def voxelize_pair(pair: ScenePair, voxel_size: float) -> VoxelizedPair:
     s1 = quantize(pair.x1, voxel_size)
     s2 = quantize(pair.x2, voxel_size)
     rows = collapse_matches_to_voxels(pair.correspondences.matches, s1.origin_map, s2.origin_map)
-    rep1 = pair.x1.points[first_point_indices(s1.origin_map)]
-    rep2 = pair.x2.points[first_point_indices(s2.origin_map)]
-    return VoxelizedPair(s1, s2, rows, rep1, rep2)
+    return VoxelizedPair(s1, s2, rows)
 
 
 def hit_ratio(
@@ -83,7 +78,8 @@ def hit_ratio(
     src = vp.row_matches[:, 0]
     gt = vp.row_matches[:, 1]
     j_hat = nearest_rows(f1[src], f2)  # ties: lowest row index
-    err = np.linalg.norm(vp.rep2[j_hat] - vp.rep2[gt], axis=1)
+    rep2 = pair.x2.points[vp.s2.first_points]
+    err = np.linalg.norm(rep2[j_hat] - rep2[gt], axis=1)
     return float(np.count_nonzero(err <= inlier_distance)) / src.shape[0]
 
 
@@ -150,7 +146,7 @@ def model_feature_fn(params: ParameterSet, cfg: UNetConfig, voxel_size: float, n
         out, _ = unet.forward(quantize(view, voxel_size), params, "eval")
         f = out.features
         if normalize:
-            f, _ = l2_normalize_rows_with_grad(f, strict=False)
+            f, _ = l2_normalize_rows_with_grad(f)
         f.flags.writeable = False
         return f
 
@@ -169,8 +165,7 @@ def coordinate_feature_fn(voxel_size: float):
     """Baseline: each voxel's representative 3D point doubles as its feature."""
 
     def fn(pair: ScenePair):
-        vp = voxelize_pair(pair, voxel_size)
-        return vp.rep1, vp.rep2
+        return tuple(view.points[quantize(view, voxel_size).first_points] for view in (pair.x1, pair.x2))
 
     return fn
 

@@ -48,7 +48,13 @@ class DepthFrame:
         if not np.isfinite(pose).all():
             raise ValueError("pose must be finite")
         rot = pose[:3, :3]
-        if np.abs(rot.T @ rot - np.eye(3)).max() > _ORTHO_TOL or abs(np.linalg.det(rot) - 1.0) > _ORTHO_TOL:
+        # an orthonormal matrix has every entry in [-1, 1]; bounding them first
+        # keeps rot.T @ rot from overflowing
+        if (
+            np.abs(rot).max() > 1.0 + _ORTHO_TOL
+            or np.abs(rot.T @ rot - np.eye(3)).max() > _ORTHO_TOL
+            or abs(np.linalg.det(rot) - 1.0) > _ORTHO_TOL
+        ):
             raise ValueError("pose rotation block must be orthonormal with det +1")
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "pose", pose)

@@ -31,7 +31,6 @@ import numpy as np
 
 from .config import ConfigMixin
 from .geometry import BLOCK_ELEMENTS, pairwise_sq_dists
-from .pairs import CorrespondenceMap
 
 log = logging.getLogger(__name__)
 
@@ -99,17 +98,17 @@ class MatchBatch:
 
 
 def subsample_matches(
-    m: CorrespondenceMap | np.ndarray,
+    matches: np.ndarray,
     f1_all: np.ndarray,
     f2_all: np.ndarray,
     ns: int,
     rng: np.random.Generator,
 ) -> MatchBatch:
-    """Uniform sample without replacement of min(ns, |m|) matches.
+    """Uniform sample without replacement of min(ns, M) of the (M, 2) int64
+    row matches.
 
-    When ns >= |m| all matches are kept in their original order.
+    When ns >= M all matches are kept in their original order.
     """
-    matches = m.matches if isinstance(m, CorrespondenceMap) else np.asarray(m, dtype=np.int64)
     count = matches.shape[0]
     if count < 1:
         raise ValueError("cannot subsample an empty correspondence map")
@@ -128,18 +127,16 @@ def l2_normalize_rows(features: np.ndarray) -> np.ndarray:
     return features / norms
 
 
-def l2_normalize_rows_with_grad(features: np.ndarray, strict: bool = True):
+def l2_normalize_rows_with_grad(features: np.ndarray):
     """Normalized rows plus a VJP closure mapping d_normalized -> d_raw.
 
-    With strict=False, zero rows stay zero and receive zero gradient (the
-    trainer's robust path); with strict=True they raise as in
-    `l2_normalize_rows`.
+    Zero rows stay zero and receive zero gradient, so a dead output row
+    cannot stop a training step or an evaluation (`l2_normalize_rows`
+    raises on them instead).
     """
     norms = np.linalg.norm(features, axis=1, keepdims=True)
     zero = norms <= 0.0
     if zero.any():
-        if strict:
-            raise ValueError("cannot L2-normalize a zero feature row")
         norms = np.where(zero, 1.0, norms)
     unit = features / norms
 

@@ -283,8 +283,7 @@ class UNet:
         out, head = conv_forward(ctxs[0].stride1_maps(1), x, params[self.head_key], ctxs[0].n)
 
         tape = UNetTape(ctxs, units, head if mode == "train" else None, bn_stats)
-        out_tensor = SparseVoxelTensor(inp.coords, out, inp.voxel_size, inp.origin_map, inp.hash)
-        return out_tensor, tape
+        return inp.replace_features(out), tape
 
     def backward(self, tape: UNetTape, d_out: np.ndarray, params: ParameterSet):
         """Exact adjoint of forward: gradient registry plus input-feature grads.

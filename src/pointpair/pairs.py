@@ -28,7 +28,7 @@ from .errors import EmptyViewError, FormatError, binary_stream, invalid_content,
 from .frames import DepthFrame, backproject
 from .geometry import PointCloud, build_index
 from .ply import ply_bytes, read_ply
-from .voxel import quantize, first_point_indices
+from .voxel import quantize
 
 log = logging.getLogger(__name__)
 
@@ -117,9 +117,7 @@ def _matches(j12: np.ndarray) -> CorrespondenceMap:
 def subsample_view(pc: PointCloud, voxel_size: float) -> PointCloud:
     """One representative point per voxel at `voxel_size` (lowest-index wins)."""
     t = quantize(pc, voxel_size)
-    rep = first_point_indices(t.origin_map)
-    feats = pc.features[rep] if pc.features is not None else None
-    return PointCloud(pc.points[rep], feats)
+    return PointCloud(pc.points[t.first_points], t.features if pc.features is not None else None)
 
 
 def generate_pairs(
@@ -197,8 +195,10 @@ def read_pair(source, scene_id: str = "", frame_ids: tuple[int, int] = (0, 1)) -
 
 
 def revalidate_pair(pair: ScenePair, radius: float, overlap_threshold: float) -> None:
-    """Recheck a loaded pair: overlap still reaches the threshold and every
-    stored match is within `radius`.  Raises FormatError on violation."""
+    """Recheck a pair loaded from elsewhere: overlap still reaches the
+    threshold and every stored match is within `radius`.  Raises FormatError
+    on violation.  `generate_pairs` output needs no recheck, so `pointpair
+    pairgen` does not call this."""
     ov = compute_overlap(pair.x1, pair.x2, radius)
     if ov < overlap_threshold - 1e-6:  # slack for the float32 PLY round-trip
         raise FormatError(

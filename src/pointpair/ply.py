@@ -138,7 +138,8 @@ def _read_ply_stream(fh) -> PointCloud:
                 values.append([float(v) for v in vals])
             except ValueError:
                 raise FormatError(f"vertex row {i} holds a non-numeric value") from None
-        rows = np.array(values, dtype=np.float32).reshape(n_points, width)
+        with np.errstate(over="ignore"):  # beyond float32 range: inf, rejected by PointCloud below
+            rows = np.array(values, dtype=np.float32).reshape(n_points, width)
     points = rows[:, :3].astype(np.float64)
     features = rows[:, 3:].astype(np.float64) if width > 3 else None
     with invalid_content("PLY point cloud"):

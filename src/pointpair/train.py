@@ -55,7 +55,7 @@ from .net.params import (
 )
 from .net.unet import UNet, UNetConfig, commit_bn_stats
 from .pairs import ScenePair
-from .voxel import collapse_matches_to_voxels, first_point_indices, quantize
+from .voxel import collapse_matches_to_voxels, quantize
 
 log = logging.getLogger(__name__)
 
@@ -219,8 +219,8 @@ def forward_backward(
     batch_rows = subsample_matches(rows, out1.features, out2.features, n_sub, rng)
 
     if loss_cfg.normalize_features:
-        n1_full, vjp1 = l2_normalize_rows_with_grad(out1.features, strict=False)
-        n2_full, vjp2 = l2_normalize_rows_with_grad(out2.features, strict=False)
+        n1_full, vjp1 = l2_normalize_rows_with_grad(out1.features)
+        n2_full, vjp2 = l2_normalize_rows_with_grad(out2.features)
     else:
         n1_full, vjp1 = out1.features, lambda d: d
         n2_full, vjp2 = out2.features, lambda d: d
@@ -237,8 +237,8 @@ def forward_backward(
     else:
         pool1 = sample_negative_pool(n2_full, loss_cfg.hardest_neg_sample, rng)
         pool2 = sample_negative_pool(n1_full, loss_cfg.hardest_neg_sample, rng)
-        pos1 = v1.points[first_point_indices(s1.origin_map)]
-        pos2 = v2.points[first_point_indices(s2.origin_map)]
+        pos1 = v1.points[s1.first_points]
+        pos2 = v2.points[s2.first_points]
         res = hardest_contrastive(batch, pool1, pool2, loss_cfg, pos1, pos2)
         dn1[batch.idx1] += res.grad_f1
         dn2[batch.idx2] += res.grad_f2

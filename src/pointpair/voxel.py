@@ -96,14 +96,17 @@ class SparseVoxelTensor:
     """Unique integer voxel coordinates with an aligned feature matrix.
 
     ``origin_map`` gives, for each point of the originating cloud, the row of
-    its voxel; it is None for tensors created inside the network.  Treat
-    instances as immutable after construction.
+    its voxel, and ``first_points`` gives, for each row, the voxel's
+    representative point: the lowest index of the points that fall in it.
+    Both come from `quantize` and are None for tensors created inside the
+    network.  Treat instances as immutable after construction.
     """
 
     coords: np.ndarray
     features: np.ndarray
     voxel_size: float
     origin_map: np.ndarray | None = None
+    first_points: np.ndarray | None = None
     _hash: VoxelHashMap | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -115,6 +118,8 @@ class SparseVoxelTensor:
             raise ValueError(
                 f"features must have one row per coordinate: {feats.shape} vs {coords.shape[0]}"
             )
+        if (self.first_points is None) != (self.origin_map is None):
+            raise ValueError("origin_map and first_points must be given together")
         if self.origin_map is not None:
             om = np.asarray(self.origin_map, dtype=np.int64)
             if om.size and (om.min() < 0 or om.max() >= coords.shape[0]):
@@ -138,15 +143,18 @@ class SparseVoxelTensor:
 
     def replace_features(self, features: np.ndarray) -> "SparseVoxelTensor":
         """Same coordinates and bookkeeping, new feature matrix."""
-        return SparseVoxelTensor(self.coords, features, self.voxel_size, self.origin_map, self._hash)
+        return SparseVoxelTensor(
+            self.coords, features, self.voxel_size, self.origin_map, self.first_points, self._hash
+        )
 
 
 def quantize(pc: PointCloud, voxel_size: float) -> SparseVoxelTensor:
     """Quantize a point cloud onto a voxel grid of edge `voxel_size` meters.
 
     Each voxel's feature row comes from the lowest-index point that falls in
-    it, or a constant 1.0 occupancy column when the cloud carries no features.
-    Voxel rows are ordered canonically (sorted by packed coordinate).
+    it (kept as the tensor's ``first_points``), or a constant 1.0 occupancy
+    column when the cloud carries no features.  Voxel rows are ordered
+    canonically (sorted by packed coordinate).
     """
     if not voxel_size > 0:
         raise ValueError("voxel_size must be positive")
@@ -158,7 +166,7 @@ def quantize(pc: PointCloud, voxel_size: float) -> SparseVoxelTensor:
         feats = pc.features[first_idx].copy()
     else:
         feats = np.ones((first_idx.shape[0], 1), dtype=np.float64)
-    return SparseVoxelTensor(coords, feats, float(voxel_size), inverse.astype(np.int64))
+    return SparseVoxelTensor(coords, feats, float(voxel_size), inverse.astype(np.int64), first_idx)
 
 
 def devoxelize(t: SparseVoxelTensor) -> np.ndarray:
@@ -171,14 +179,6 @@ def devoxelize(t: SparseVoxelTensor) -> np.ndarray:
 def voxel_hash_lookup(t: SparseVoxelTensor, coord) -> int | None:
     """Row index of `coord` in the tensor, or None when absent."""
     return t.hash.lookup_one(coord)
-
-
-def first_point_indices(origin_map: np.ndarray) -> np.ndarray:
-    """For each voxel row, the lowest original point index mapping to it."""
-    rows, first = np.unique(origin_map, return_index=True)
-    out = np.empty(rows.shape[0], dtype=np.int64)
-    out[rows] = first
-    return out
 
 
 def collapse_matches_to_voxels(

@@ -1,4 +1,5 @@
 import configparser
+import io
 import json
 import os
 import struct
@@ -13,7 +14,7 @@ from pointpair.geometry import PointCloud
 from pointpair.net import layers
 from pointpair.net.params import load_params
 from pointpair.net.unet import UNet, UNetConfig
-from pointpair.pairs import read_pair
+from pointpair.pairs import generate_pairs, read_pair, write_pair
 from pointpair.ply import ply_bytes, read_ply
 from pointpair.train import OptimizerState, save_checkpoint
 
@@ -186,6 +187,21 @@ class TestPairgen:
         assert rc == 0
         assert "0 pairs" in capsys.readouterr().out
 
+    def test_files_are_the_generated_pairs_byte_for_byte(self, workdir):
+        _write_scene(workdir / "scene.ini", cameras=4)
+        cli.main(["synth", "--spec", "scene.ini", "--out", "frames"])
+        assert cli.main(["pairgen", "--frames", "frames", "--out", "pairs", "--stride", "1",
+                         "--threshold", "0.3", "--radius", "0.05", "--voxel-size", "0.05"]) == 0
+        frames = [read_frame(os.path.join("frames", f)) for f in sorted(os.listdir("frames"))
+                  if f.endswith(".pcfd")]
+        want = []
+        for pair in generate_pairs(frames, stride=1, overlap_threshold=0.3, radius=0.05, voxel_size=0.05):
+            buf = io.BytesIO()
+            write_pair(pair, buf)
+            want.append(buf.getvalue())
+        got = [(workdir / "pairs" / f).read_bytes() for f in sorted(os.listdir("pairs")) if f.endswith(".pcpr")]
+        assert len(want) >= 2
+        assert got == want
 
     def test_refuses_out_dir_holding_pairs(self, workdir, capsys):
         _write_scene(workdir / "scene.ini", cameras=3)

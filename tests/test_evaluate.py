@@ -54,7 +54,8 @@ class TestHitRatio:
         f2 = np.ones((len(vp.s2), 4))
         got = hit_ratio(pair, f1, f2, 0.1, VOX)
         # all feature distances tie, so every query resolves to row 0
-        hits = np.linalg.norm(vp.rep2[0] - vp.rep2[vp.row_matches[:, 1]], axis=1) <= 0.1
+        rep2 = pair.x2.points[vp.s2.first_points]
+        hits = np.linalg.norm(rep2[0] - rep2[vp.row_matches[:, 1]], axis=1) <= 0.1
         assert got == pytest.approx(hits.mean(), abs=1e-15)
 
     def test_bounded(self, rng):
@@ -135,7 +136,7 @@ def _forward_features(params, cfg, view, normalize):
     out, _ = UNet(cfg).forward(quantize(view, VOX), params, "eval")
     if not normalize:
         return out.features
-    return l2_normalize_rows_with_grad(out.features, strict=False)[0]
+    return l2_normalize_rows_with_grad(out.features)[0]
 
 
 def _pair(x1, x2):

@@ -25,6 +25,9 @@ from pointpair.pairs import CorrespondenceMap, ScenePair, read_pair, write_pair
 from pointpair.ply import ply_bytes, read_ply
 from pointpair.train import OptimizerState, load_checkpoint, save_checkpoint
 
+# a reader rejects bad values before numpy computes with them: no overflow warnings
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _frame_bytes() -> bytes:
     depth = np.zeros((3, 4), dtype=np.float32)
@@ -109,11 +112,13 @@ _NAN_F4 = np.array([np.nan], dtype="<f4").tobytes()
 INVALID_CONTENT = {
     "frame_zero_focal": ("frame", _FRAME[:12] + struct.pack("<d", 0.0) + _FRAME[20:]),
     "frame_skewed_pose": ("frame", _FRAME[:44] + struct.pack("<d", 2.0) + _FRAME[52:]),
+    "frame_huge_rotation_entry": ("frame", _FRAME[:44] + struct.pack("<d", 1e300) + _FRAME[52:]),
     "pair_match_out_of_range": ("pair", b"PCPR" + _PLY + _PLY + struct.pack("<Q2Id", 1, 7, 0, 0.5)),
     "pair_overlap_above_one": ("pair", b"PCPR" + _PLY + _PLY + struct.pack("<Q2Id", 1, 0, 0, 2.0)),
     "ply_no_vertices": ("ply", _ply_header(0)),
     "ply_nan_coordinate": ("ply", _ply_header(1) + _NAN_F4 + bytes(8)),
     "ply_ascii_inf": ("ply", _ply_header(1).replace(b"binary_little_endian", b"ascii") + b"1e99 0 0\n"),
+    "ply_ascii_beyond_float32": ("ply", _ply_header(1).replace(b"binary_little_endian", b"ascii") + b"0 3.5e38 0\n"),
     "params_zero_and_huge_dims": ("params", _params_blob(b"{}", _tensor((2**57, 2**57, 0)))),
     "params_nan_value": ("params", _params_blob(b"{}", _tensor((1,), struct.pack("<d", np.nan)))),
     "params_deeply_nested_json": ("params", _params_blob(b"[" * 100_000, b"")),

@@ -47,7 +47,7 @@ class TestSubsample:
         m = CorrespondenceMap(np.stack([np.arange(10), np.arange(10)[::-1]], axis=1))
         f1 = rng.standard_normal((10, 4))
         f2 = rng.standard_normal((10, 4))
-        batch = subsample_matches(m, f1, f2, 50, rng)
+        batch = subsample_matches(m.matches, f1, f2, 50, rng)
         np.testing.assert_array_equal(batch.idx1, np.arange(10))
         np.testing.assert_array_equal(batch.idx2, np.arange(10)[::-1])
         np.testing.assert_array_equal(batch.f1, f1)
@@ -89,7 +89,7 @@ class TestNormalize:
 
     def test_non_strict_zero_rows(self):
         f = np.array([[0.0, 0.0], [3.0, 4.0]])
-        out, vjp = l2_normalize_rows_with_grad(f, strict=False)
+        out, vjp = l2_normalize_rows_with_grad(f)
         np.testing.assert_array_equal(out[0], [0.0, 0.0])
         d = vjp(np.ones_like(f))
         np.testing.assert_array_equal(d[0], [0.0, 0.0])

@@ -29,7 +29,7 @@ from pointpair.train import (
     _pair_index,
     _step_rng,
 )
-from pointpair.voxel import collapse_matches_to_voxels, first_point_indices, quantize
+from pointpair.voxel import collapse_matches_to_voxels, quantize
 from pointpair.geometry import apply_transform
 from pointpair.augment import sample_transform
 
@@ -159,8 +159,8 @@ class TestTrainStep:
         s1 = quantize(v1, cfg.voxel_size)
         s2 = quantize(v2, cfg.voxel_size)
         rows = collapse_matches_to_voxels(pair.correspondences.matches, s1.origin_map, s2.origin_map)
-        w1 = t1.inverse().apply(v1.points[first_point_indices(s1.origin_map)][rows[:, 0]])
-        w2 = t2.inverse().apply(v2.points[first_point_indices(s2.origin_map)][rows[:, 1]])
+        w1 = t1.inverse().apply(v1.points[s1.first_points][rows[:, 0]])
+        w2 = t2.inverse().apply(v2.points[s2.first_points][rows[:, 1]])
         diag = cfg.voxel_size * np.sqrt(3)
         bound = 0.05 + diag / t1.scale + diag / t2.scale
         assert np.linalg.norm(w1 - w2, axis=1).max() <= bound

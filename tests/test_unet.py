@@ -3,10 +3,11 @@ import io
 import numpy as np
 import pytest
 
+from pointpair.geometry import PointCloud
 from pointpair.net.params import GradientSet, ParameterSet, is_trainable, load_params, save_params
 from pointpair.net.unet import UNet, UNetConfig, commit_bn_stats, relu_masks
 from pointpair.verify import random_coords, tiny_unet_config
-from pointpair.voxel import SparseVoxelTensor
+from pointpair.voxel import SparseVoxelTensor, quantize
 
 
 def _input(rng, n=120, in_dim=1):
@@ -39,6 +40,14 @@ class TestForward:
             out, _ = unet.forward(inp, params, "train")
             np.testing.assert_array_equal(out.coords, inp.coords)
             assert out.features.shape == (n, cfg.out_dim)
+
+    def test_output_keeps_the_quantized_bookkeeping(self, rng):
+        cfg = tiny_unet_config()
+        unet = UNet(cfg)
+        n = 300
+        inp = quantize(PointCloud(rng.uniform(0, 1, (n, 3)), rng.standard_normal((n, cfg.in_dim))), 0.1)
+        out, _ = unet.forward(inp, unet.init_params(0), "eval")
+        assert out.origin_map is inp.origin_map and out.first_points is inp.first_points
 
     def test_permutation_equivariance(self, rng):
         cfg = tiny_unet_config()

@@ -9,7 +9,6 @@ from pointpair.voxel import (
     VoxelHashMap,
     collapse_matches_to_voxels,
     devoxelize,
-    first_point_indices,
     pack_coords,
     pack_shifted,
     quantize,
@@ -63,6 +62,27 @@ class TestQuantize:
         a = quantize(pc, v)
         b = quantize(moved, v)
         np.testing.assert_array_equal(b.coords, a.coords + k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300))
+    def test_first_points_are_each_rows_lowest_point(self, seed, n):
+        rng = np.random.default_rng(seed)
+        # 64 cells for up to 300 shuffled points: most voxels hold several
+        pts = rng.integers(-2, 2, (n, 3)) * 0.1 + rng.uniform(0.005, 0.095, (n, 3))
+        pts = pts[rng.permutation(n)]
+        t = quantize(PointCloud(pts), 0.1)
+        cells = np.floor(pts / 0.1).astype(np.int64)
+        want = [np.flatnonzero((cells == c).all(axis=1)).min() for c in t.coords]
+        assert t.first_points.dtype == np.int64
+        np.testing.assert_array_equal(t.first_points, want)
+
+    def test_first_points_follow_the_origin_map(self, rng):
+        t = quantize(PointCloud(rng.uniform(0, 1, (50, 3))), 0.3)
+        assert t.replace_features(np.zeros((len(t), 2))).first_points is t.first_points
+        with pytest.raises(ValueError):
+            SparseVoxelTensor(t.coords, t.features, t.voxel_size, first_points=t.first_points)
+        with pytest.raises(ValueError):
+            SparseVoxelTensor(t.coords, t.features, t.voxel_size, origin_map=t.origin_map)
 
     def test_rejects_non_positive_voxel_size(self, rng):
         with pytest.raises(ValueError):
@@ -198,10 +218,9 @@ class TestMatchCollapse:
     def test_first_point_indices(self):
         pts = np.array([[0.01, 0, 0], [0.02, 0, 0], [0.9, 0, 0]])
         t = quantize(PointCloud(pts), voxel_size=0.05)
-        first = first_point_indices(t.origin_map)
         # voxel holding points 0 and 1 should report point 0
-        assert first[t.origin_map[0]] == 0
-        assert first[t.origin_map[2]] == 2
+        assert t.first_points[t.origin_map[0]] == 0
+        assert t.first_points[t.origin_map[2]] == 2
 
     def test_greedy_two_sided_dedup(self):
         om1 = np.array([0, 0, 1, 2])
