@@ -9,8 +9,10 @@ Subcommands:
     template  write an annotated config template (train or scene)
 
 Every run writes a manifest.json into its output directory before doing any
-work; all file outputs are written to a temporary name and renamed on
-completion.  Exit codes: 0 success, 1 validation error, 2 runtime failure.
+work.  Every output file is written through `errors.file_stream`: to a
+temporary name that is renamed over the target on completion, and removed
+if the write fails, so a file is either whole or absent.  Exit codes:
+0 success, 1 validation error, 2 runtime failure.
 An unexpected failure (a bug, not a bad input) also leaves its traceback:
 in `traceback.txt` inside the command's `--out` directory when it exists,
 otherwise on stderr.
@@ -20,14 +22,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 import time
 import traceback
 
 from . import __version__
-from .errors import ConfigError, PointPairError
+from .errors import ConfigError, PointPairError, file_stream, write_json
 from .evaluate import (
     FmrConfig,
     coordinate_feature_fn,
@@ -45,31 +46,17 @@ from .verify import run_suite
 
 def _write_manifest(out_dir: str, command: str, config_echo: dict, seed, artifacts: list[str]) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "manifest.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        json.dump(
-            {
-                "command": command,
-                "config": config_echo,
-                "seed": seed,
-                "artifacts": artifacts,
-                "tool_version": __version__,
-                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
-def _atomic_write(path: str, writer) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        writer(fh)
-    os.replace(tmp, path)
+    write_json(
+        os.path.join(out_dir, "manifest.json"),
+        {
+            "command": command,
+            "config": config_echo,
+            "seed": seed,
+            "artifacts": artifacts,
+            "tool_version": __version__,
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        },
+    )
 
 
 def load_train_config(path: str) -> TrainConfig:
@@ -149,7 +136,7 @@ def cmd_synth(args) -> int:
     _write_manifest(args.out, "synth", spec.to_dict() | {"spec_file": args.spec}, spec.seed, names)
     frames = synthesize_scene(spec)
     for name, frame in zip(names, frames):
-        _atomic_write(os.path.join(args.out, name), lambda fh, f=frame: write_frame(f, fh))
+        write_frame(frame, os.path.join(args.out, name))
     print(f"wrote {len(frames)} frames to {args.out}")
     return 0
 
@@ -180,8 +167,7 @@ def cmd_pairgen(args) -> int:
         scene_id=os.path.basename(os.path.normpath(args.frames)),
     )
     for k, pair in enumerate(pairs):
-        path = os.path.join(args.out, f"pair_{k:04d}.pcpr")
-        _atomic_write(path, lambda fh, p=pair: write_pair(p, fh))
+        write_pair(pair, os.path.join(args.out, f"pair_{k:04d}.pcpr"))
     print(f"{len(pairs)} pairs (stride={args.stride}, threshold={args.threshold}, radius={args.radius})")
     return 0
 
@@ -256,10 +242,8 @@ def cmd_verify(args) -> int:
 
 def cmd_template(args) -> int:
     text = TRAIN_TEMPLATE if args.kind == "train" else SCENE_TEMPLATE
-    tmp = args.out + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
+    with file_stream(args.out, "w") as fh:
         fh.write(text)
-    os.replace(tmp, args.out)
     print(f"wrote {args.kind} template to {args.out}")
     return 0
 

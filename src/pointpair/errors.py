@@ -1,7 +1,10 @@
-"""Exception types shared across the package, and the binary-file helpers
-that turn a short file into a FormatError."""
+"""Exception types shared across the package, and the file helpers: the one
+writer every output file goes through, and the readers that turn a short
+file into a FormatError."""
 
 import contextlib
+import json
+import os
 import struct
 
 
@@ -66,11 +69,34 @@ def invalid_content(what: str):
 
 
 @contextlib.contextmanager
-def binary_stream(target, mode: str):
+def file_stream(target, mode: str):
     """`target` itself if it is a file object, else the file it names opened
-    in `mode` ("rb" or "wb")."""
+    in `mode`: "rb" reads it, "wb" writes bytes and "w" writes ASCII text.
+
+    A write goes to `target`.tmp, which replaces `target` only once the block
+    completes, so no reader ever sees a half-written file.  A block that
+    raises (KeyboardInterrupt included) removes the .tmp file and leaves
+    `target` as it was.
+    """
     if hasattr(target, "read" if mode == "rb" else "write"):
         yield target
-    else:
+    elif mode == "rb":
         with open(target, mode) as fh:
             yield fh
+    else:
+        tmp = f"{target}.tmp"
+        try:
+            with open(tmp, mode, encoding=None if "b" in mode else "ascii") as fh:
+                yield fh
+            os.replace(tmp, target)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+            raise
+
+
+def write_json(target, obj) -> None:
+    """`obj` as JSON with sorted keys, indented by 2, plus a final newline."""
+    with file_stream(target, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -14,12 +14,12 @@ network feature source runs each such view once (`model_feature_fn`).
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import file_stream, write_json
 from .geometry import PointCloud, nearest_rows
 from .losses import l2_normalize_rows_with_grad
 from .net.unet import UNet, UNetConfig
@@ -184,27 +184,17 @@ def random_feature_fn(dim: int, seed: int, voxel_size: float):
 
 def write_report(out_dir: str, report: FmrReport, cfg: FmrConfig) -> None:
     """Per-pair CSV plus a JSON summary, both written atomically."""
-    csv_path = os.path.join(out_dir, "eval_pairs.csv")
-    tmp = csv_path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
+    with file_stream(os.path.join(out_dir, "eval_pairs.csv"), "w") as fh:
         fh.write("pair_id,hit_ratio,inlier\n")
         for pid, r, flag in zip(report.pair_ids, report.hit_ratios, report.inlier_flags):
             fh.write(f"{pid},{r!r},{int(flag)}\n")
-    os.replace(tmp, csv_path)
-    summary_path = os.path.join(out_dir, "eval_summary.json")
-    tmp = summary_path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        json.dump(
-            {
-                "fmr": report.fmr,
-                "mean_hit_ratio": report.mean_hit_ratio,
-                "pairs": len(report.hit_ratios),
-                "inlier_distance": cfg.inlier_distance,
-                "inlier_ratio_threshold": cfg.inlier_ratio_threshold,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
-    os.replace(tmp, summary_path)
+    write_json(
+        os.path.join(out_dir, "eval_summary.json"),
+        {
+            "fmr": report.fmr,
+            "mean_hit_ratio": report.mean_hit_ratio,
+            "pairs": len(report.hit_ratios),
+            "inlier_distance": cfg.inlier_distance,
+            "inlier_ratio_threshold": cfg.inlier_ratio_threshold,
+        },
+    )

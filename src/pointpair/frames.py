@@ -16,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigMixin
-from .errors import EmptyViewError, FormatError, binary_stream, invalid_content, read_exact, read_struct
-from .geometry import PointCloud
+from .errors import EmptyViewError, FormatError, file_stream, invalid_content, read_exact, read_struct
+from .geometry import PointCloud, check_rotation
 
 _FRAME_MAGIC = b"PCFD"
-_ORTHO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -47,15 +46,7 @@ class DepthFrame:
             raise ValueError(f"pose must be 4x4, got {pose.shape}")
         if not np.isfinite(pose).all():
             raise ValueError("pose must be finite")
-        rot = pose[:3, :3]
-        # an orthonormal matrix has every entry in [-1, 1]; bounding them first
-        # keeps rot.T @ rot from overflowing
-        if (
-            np.abs(rot).max() > 1.0 + _ORTHO_TOL
-            or np.abs(rot.T @ rot - np.eye(3)).max() > _ORTHO_TOL
-            or abs(np.linalg.det(rot) - 1.0) > _ORTHO_TOL
-        ):
-            raise ValueError("pose rotation block must be orthonormal with det +1")
+        check_rotation(pose[:3, :3])
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "pose", pose)
 
@@ -97,12 +88,12 @@ def write_frame(frame: DepthFrame, target) -> None:
     blob += struct.pack("<4d", frame.fx, frame.fy, frame.cx, frame.cy)
     blob += frame.pose.astype("<f8").tobytes()
     blob += frame.depth.astype("<f4").tobytes()
-    with binary_stream(target, "wb") as fh:
+    with file_stream(target, "wb") as fh:
         fh.write(bytes(blob))
 
 
 def read_frame(source) -> DepthFrame:
-    with binary_stream(source, "rb") as fh:
+    with file_stream(source, "rb") as fh:
         if fh.read(4) != _FRAME_MAGIC:
             raise FormatError("bad frame magic; expected PCFD")
         h, w = read_struct(fh, "<II", "frame size")

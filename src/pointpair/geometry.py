@@ -83,6 +83,20 @@ def rotation_about_axis(axis, angle: float) -> np.ndarray:
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
+def check_rotation(rot: np.ndarray) -> None:
+    """ValueError unless the 3x3 `rot` is finite and orthonormal with
+    determinant +1, each to within 1e-9."""
+    # an orthonormal matrix has every entry in [-1, 1]; bounding them first
+    # keeps rot.T @ rot from overflowing, and NaN fails only the isfinite test
+    if (
+        not np.isfinite(rot).all()
+        or np.abs(rot).max() > 1.0 + _ORTHO_TOL
+        or np.abs(rot.T @ rot - np.eye(3)).max() > _ORTHO_TOL
+        or abs(np.linalg.det(rot) - 1.0) > _ORTHO_TOL
+    ):
+        raise ValueError("rotation must be finite and orthonormal with det +1")
+
+
 @dataclass(frozen=True)
 class RigidScaleTransform:
     """Similarity transform p -> scale * (rotation @ p) + translation.
@@ -100,10 +114,7 @@ class RigidScaleTransform:
         rot = np.array(self.rotation, dtype=np.float64)
         if rot.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {rot.shape}")
-        if np.abs(rot.T @ rot - np.eye(3)).max() > _ORTHO_TOL:
-            raise ValueError("rotation matrix is not orthonormal")
-        if abs(np.linalg.det(rot) - 1.0) > _ORTHO_TOL:
-            raise ValueError("rotation matrix determinant is not +1")
+        check_rotation(rot)
         tr = np.array(self.translation, dtype=np.float64).reshape(3)
         if not np.isfinite(tr).all():
             raise ValueError("translation contains non-finite values")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import FormatError, binary_stream, invalid_content, read_exact, read_struct
+from ..errors import FormatError, file_stream, invalid_content, read_exact, read_struct
 
 _PARAMS_MAGIC = b"PCCK"
 
@@ -60,14 +60,6 @@ class ParameterSet:
             if not np.isfinite(t).all():
                 raise ValueError(f"parameter '{name}' contains non-finite values")
 
-    def allclose(self, other: "ParameterSet", atol: float = 0.0) -> bool:
-        if self.names() != other.names():
-            return False
-        return all(
-            np.allclose(self.tensors[n], other.tensors[n], rtol=0.0, atol=atol)
-            for n in self.names()
-        )
-
     def digest(self) -> bytes:
         """Deterministic fingerprint of all tensor values (for mutation checks)."""
         import hashlib
@@ -83,12 +75,12 @@ class GradientSet(ParameterSet):
     """Gradient registry, shape-congruent with its ParameterSet."""
 
     @classmethod
-    def zeros_like(cls, params: ParameterSet, trainable_only: bool = True) -> "GradientSet":
+    def zeros_like(cls, params: ParameterSet) -> "GradientSet":
+        """Zero gradients for the trainable tensors of `params`."""
         g = cls()
         for name, t in params.tensors.items():
-            if trainable_only and not is_trainable(name):
-                continue
-            g.add(name, np.zeros_like(t))
+            if is_trainable(name):
+                g.add(name, np.zeros_like(t))
         return g
 
     def accumulate(self, name: str, value: np.ndarray) -> None:
@@ -137,7 +129,7 @@ def read_tensor_section(fh) -> dict[str, np.ndarray]:
 def save_params(target, params: ParameterSet, config_echo: dict) -> None:
     """Write a PCCK parameter file (config echo as JSON, tensors by name)."""
     blob = json.dumps(config_echo, sort_keys=True).encode("utf-8")
-    with binary_stream(target, "wb") as fh:
+    with file_stream(target, "wb") as fh:
         fh.write(_PARAMS_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
@@ -145,7 +137,7 @@ def save_params(target, params: ParameterSet, config_echo: dict) -> None:
 
 
 def load_params(source) -> tuple[ParameterSet, dict]:
-    with binary_stream(source, "rb") as fh:
+    with file_stream(source, "rb") as fh:
         if fh.read(4) != _PARAMS_MAGIC:
             raise FormatError("bad parameter file magic; expected PCCK")
         (blob_len,) = read_struct(fh, "<I", "config length")

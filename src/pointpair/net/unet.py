@@ -329,12 +329,12 @@ class UNet:
                 params.add(name, np.zeros(shape))
         return params
 
-    def param_count(self, trainable_only: bool = True) -> int:
+    def param_count(self) -> int:
+        """Number of trainable scalars (BN running statistics excluded)."""
         total = 0
         for name, shape in self.param_specs():
-            if trainable_only and not is_trainable(name):
-                continue
-            total += int(np.prod(shape))
+            if is_trainable(name):
+                total += int(np.prod(shape))
         return total
 
 

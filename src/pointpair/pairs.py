@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyViewError, FormatError, binary_stream, invalid_content, read_exact, read_struct
+from .errors import EmptyViewError, FormatError, file_stream, invalid_content, read_exact, read_struct
 from .frames import DepthFrame, backproject
 from .geometry import PointCloud, build_index
 from .ply import ply_bytes, read_ply
@@ -176,12 +176,12 @@ def write_pair(pair: ScenePair, target) -> None:
     blob += struct.pack("<Q", m.shape[0])
     blob += m.astype("<u4").tobytes()
     blob += struct.pack("<d", pair.overlap)
-    with binary_stream(target, "wb") as fh:
+    with file_stream(target, "wb") as fh:
         fh.write(bytes(blob))
 
 
 def read_pair(source, scene_id: str = "", frame_ids: tuple[int, int] = (0, 1)) -> ScenePair:
-    with binary_stream(source, "rb") as fh:
+    with file_stream(source, "rb") as fh:
         if fh.read(4) != _PAIR_MAGIC:
             raise FormatError("bad pair magic; expected PCPR")
         x1 = read_ply(fh)

@@ -12,7 +12,7 @@ import io
 
 import numpy as np
 
-from .errors import FormatError, binary_stream, invalid_content, read_exact
+from .errors import FormatError, file_stream, invalid_content, read_exact
 from .geometry import PointCloud
 
 _FLOAT_NAMES = {"float", "float32"}
@@ -42,7 +42,7 @@ def write_ply(pc: PointCloud, target, binary: bool = True) -> None:
     if dim:
         rows = np.hstack([rows, pc.features.astype(np.float32)])
     header = "\n".join(_header_lines(len(pc), dim, binary)) + "\n"
-    with binary_stream(target, "wb") as fh:
+    with file_stream(target, "wb") as fh:
         fh.write(header.encode("ascii"))
         if binary:
             fh.write(rows.astype("<f4").tobytes())
@@ -57,7 +57,7 @@ def read_ply(source) -> PointCloud:
     Only ``vertex`` elements with float32 properties x, y, z and optional
     f0..f{D-1} are accepted; anything else raises FormatError.
     """
-    with binary_stream(source, "rb") as fh:
+    with file_stream(source, "rb") as fh:
         return _read_ply_stream(fh)
 
 

@@ -17,6 +17,8 @@ Checkpoint layout: a PCCK parameter file (config echo + named tensors)
 followed by an optimizer section:
     magic "PCOS" | u64 iteration | u32 tensor count | momentum buffers
 Training log: CSV with columns iter, lr, loss, collapse, millis.
+Both are written through `errors.file_stream`: a save that fails part way
+leaves the file it would have replaced as it was, and no .tmp file beside it.
 """
 
 from __future__ import annotations
@@ -31,11 +33,10 @@ import numpy as np
 
 from .augment import AugmentationConfig, dropout_points, jitter_points, sample_transform
 from .config import ConfigMixin
-from .errors import ConfigError, DegenerateBatchError, FormatError, PointPairError, read_struct
+from .errors import ConfigError, DegenerateBatchError, FormatError, PointPairError, file_stream, read_struct
 from .geometry import apply_transform
 from .losses import (
     LossConfig,
-    MatchBatch,
     VARIANT_INFO_NCE,
     collapse_metric,
     hardest_contrastive,
@@ -215,18 +216,14 @@ def forward_backward(
         raise SkipStep(f"degenerate batch inside the network: {exc}") from exc
 
     loss_cfg = cfg.loss
-    n_sub = loss_cfg.ns if loss_cfg.variant == VARIANT_INFO_NCE else loss_cfg.pos_sample
-    batch_rows = subsample_matches(rows, out1.features, out2.features, n_sub, rng)
-
     if loss_cfg.normalize_features:
         n1_full, vjp1 = l2_normalize_rows_with_grad(out1.features)
         n2_full, vjp2 = l2_normalize_rows_with_grad(out2.features)
     else:
         n1_full, vjp1 = out1.features, lambda d: d
         n2_full, vjp2 = out2.features, lambda d: d
-    f1b = n1_full[batch_rows.idx1]
-    f2b = n2_full[batch_rows.idx2]
-    batch = MatchBatch(f1b, f2b, batch_rows.idx1, batch_rows.idx2)
+    n_sub = loss_cfg.ns if loss_cfg.variant == VARIANT_INFO_NCE else loss_cfg.pos_sample
+    batch = subsample_matches(rows, n1_full, n2_full, n_sub, rng)
 
     dn1 = np.zeros_like(n1_full)
     dn2 = np.zeros_like(n2_full)
@@ -249,7 +246,7 @@ def forward_backward(
 
     loss = res.loss
     del res  # the loss gradients are scattered; the backward needs only dn1, dn2
-    collapse = collapse_metric(np.vstack([f1b, f2b]))
+    collapse = collapse_metric(np.vstack([batch.f1, batch.f2]))
     bn_stats = tape1.bn_stats + tape2.bn_stats
     grads, _ = unet.backward(tape1, vjp1(dn1), params)
     del tape1
@@ -298,13 +295,11 @@ class TrainResult:
 
 def save_checkpoint(path, params: ParameterSet, config_echo: dict, state: OptimizerState) -> None:
     """Atomic write: PCCK parameter file plus a PCOS optimizer section."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
+    with file_stream(path, "wb") as fh:
         save_params(fh, params, config_echo)
         fh.write(_OPT_MAGIC)
         fh.write(struct.pack("<Q", state.iteration))
         write_tensor_section(fh, state.buffers)
-    os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> tuple[ParameterSet, dict, OptimizerState]:
@@ -319,12 +314,10 @@ def load_checkpoint(path) -> tuple[ParameterSet, dict, OptimizerState]:
 
 
 def write_log_csv(path, records: list[TrainLogRecord]) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
+    with file_stream(path, "w") as fh:
         fh.write(LOG_HEADER + "\n")
         for rec in records:
             fh.write(rec.csv_row() + "\n")
-    os.replace(tmp, path)
 
 
 def train(

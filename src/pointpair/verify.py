@@ -56,22 +56,6 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(a - n).max(initial=0.0) / scale)
 
 
-def central_difference(value_fn, x: np.ndarray, flat_idx, h: float = FD_STEP) -> np.ndarray:
-    """Central finite differences of value_fn() w.r.t. selected entries of x,
-    perturbing x in place (restored afterwards)."""
-    flat = x.reshape(-1)
-    out = np.empty(len(flat_idx))
-    for k, i in enumerate(flat_idx):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = value_fn()
-        flat[i] = orig - h
-        fm = value_fn()
-        flat[i] = orig
-        out[k] = (fp - fm) / (2.0 * h)
-    return out
-
-
 def sample_indices(rng: np.random.Generator, size: int, max_count: int) -> np.ndarray:
     if size <= max_count:
         return np.arange(size)
@@ -79,7 +63,8 @@ def sample_indices(rng: np.random.Generator, size: int, max_count: int) -> np.nd
 
 
 def masked_central_difference(value_and_masks_fn, x: np.ndarray, flat_idx, h: float = FD_STEP):
-    """Central differences that skip kink crossings.
+    """Central finite differences of a scalar w.r.t. selected entries of x,
+    perturbing x in place (restored afterwards), that skip kink crossings.
 
     `value_and_masks_fn()` returns (scalar, list of boolean activation masks);
     an element whose +h and -h evaluations disagree on any mask straddles a
@@ -109,10 +94,13 @@ def fd_compare_masked(value_and_masks_fn, x, analytic, rng, max_count=40, h=FD_S
     return max_rel_error(analytic.reshape(-1)[idx][keep], numeric[keep])
 
 
+def central_difference(value_fn, x: np.ndarray, flat_idx, h: float = FD_STEP) -> np.ndarray:
+    """`masked_central_difference` of a function without kinks."""
+    return masked_central_difference(lambda: (value_fn(), []), x, flat_idx, h)[0]
+
+
 def fd_compare(value_fn, x, analytic, rng, max_count=40, h=FD_STEP) -> float:
-    idx = sample_indices(rng, x.size, max_count)
-    numeric = central_difference(value_fn, x, idx, h)
-    return max_rel_error(analytic.reshape(-1)[idx], numeric)
+    return fd_compare_masked(lambda: (value_fn(), []), x, analytic, rng, max_count, h)
 
 
 def random_coords(rng: np.random.Generator, n: int, extent: int = 8) -> np.ndarray:
@@ -216,39 +204,27 @@ def _conv_instance_error(rng: np.random.Generator, maps, feats, kernel, n_out: i
     return max(worst, max_rel_error(d_kernel.reshape(-1), numeric))
 
 
-def _check_conv_gradients(rng: np.random.Generator, stride: int, instances: int) -> CheckResult:
-    worst = 0.0
-    for _ in range(instances):
-        n = int(rng.integers(20, 60))
-        cin = int(rng.integers(1, 5))
-        cout = int(rng.integers(1, 5))
-        ctx = layers.CoordContext(random_coords(rng, n))
-        feats = rng.standard_normal((n, cin))
-        kernel = rng.standard_normal((27, cin, cout)) * 0.5
-        if stride == 1:
-            maps, n_out = ctx.stride1_maps(3), n
-        else:
-            coarse = layers.CoordContext(layers.downsample_coords(ctx.coords))
-            maps, n_out = layers.stride2_maps(ctx, coarse, 3), coarse.n
-        worst = max(worst, _conv_instance_error(rng, maps, feats, kernel, n_out))
-    passed = worst < TOL_PER_OP
-    return CheckResult(f"gradcheck.sparse_conv.stride{stride}", passed, f"max rel err {worst:.3e}")
-
-
-def _check_transpose_conv_gradients(rng: np.random.Generator, instances: int) -> CheckResult:
+def _check_conv_gradients(rng: np.random.Generator, kind: str, instances: int) -> CheckResult:
+    """`kind` is "stride1", "stride2" (fine to coarse) or "transpose" (coarse
+    to fine, the stride-2 map swapped)."""
     worst = 0.0
     for _ in range(instances):
         n = int(rng.integers(20, 60))
         cin = int(rng.integers(1, 5))
         cout = int(rng.integers(1, 5))
         fine = layers.CoordContext(random_coords(rng, n))
-        coarse = layers.CoordContext(layers.downsample_coords(fine.coords))
-        feats = rng.standard_normal((coarse.n, cin))
+        if kind == "stride1":
+            maps, n_in, n_out = fine.stride1_maps(3), n, n
+        else:
+            coarse = layers.CoordContext(layers.downsample_coords(fine.coords))
+            maps, n_in, n_out = layers.stride2_maps(fine, coarse, 3), n, coarse.n
+            if kind == "transpose":
+                maps, n_in, n_out = layers.swap_maps(maps), coarse.n, n
+        feats = rng.standard_normal((n_in, cin))
         kernel = rng.standard_normal((27, cin, cout)) * 0.5
-        maps = layers.swap_maps(layers.stride2_maps(fine, coarse, 3))
-        worst = max(worst, _conv_instance_error(rng, maps, feats, kernel, n))
-    passed = worst < TOL_PER_OP
-    return CheckResult("gradcheck.transpose_conv", passed, f"max rel err {worst:.3e}")
+        worst = max(worst, _conv_instance_error(rng, maps, feats, kernel, n_out))
+    name = "gradcheck.transpose_conv" if kind == "transpose" else f"gradcheck.sparse_conv.{kind}"
+    return CheckResult(name, worst < TOL_PER_OP, f"max rel err {worst:.3e}")
 
 
 def _check_batch_norm_gradients(rng: np.random.Generator, instances: int) -> CheckResult:
@@ -438,9 +414,9 @@ def _check_hardest_gradients(rng: np.random.Generator, instances: int) -> CheckR
 def run_gradcheck_suite(seed: int = 0, instances: int = 20) -> list[CheckResult]:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x6AD0))))
     return [
-        _check_conv_gradients(rng, 1, instances),
-        _check_conv_gradients(rng, 2, instances),
-        _check_transpose_conv_gradients(rng, instances),
+        _check_conv_gradients(rng, "stride1", instances),
+        _check_conv_gradients(rng, "stride2", instances),
+        _check_conv_gradients(rng, "transpose", instances),
         _check_batch_norm_gradients(rng, instances),
         _check_relu_gradients(rng, instances),
         _check_residual_block_gradients(rng, instances),

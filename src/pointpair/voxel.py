@@ -86,10 +86,6 @@ class VoxelHashMap:
         pos = np.searchsorted(self._sorted, keys)
         return np.where(self._sorted[pos] == keys, self._rows[pos], -1)
 
-    def lookup_one(self, coord) -> int | None:
-        row = self.lookup(np.asarray(coord, dtype=np.int64).reshape(1, 3))[0]
-        return None if row < 0 else int(row)
-
 
 @dataclass(eq=False)
 class SparseVoxelTensor:
@@ -178,7 +174,8 @@ def devoxelize(t: SparseVoxelTensor) -> np.ndarray:
 
 def voxel_hash_lookup(t: SparseVoxelTensor, coord) -> int | None:
     """Row index of `coord` in the tensor, or None when absent."""
-    return t.hash.lookup_one(coord)
+    row = t.hash.lookup(np.asarray(coord, dtype=np.int64).reshape(1, 3))[0]
+    return None if row < 0 else int(row)
 
 
 def collapse_matches_to_voxels(

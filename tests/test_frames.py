@@ -1,4 +1,5 @@
 import io
+import os
 
 import numpy as np
 import pytest
@@ -89,6 +90,16 @@ class TestFrameFile:
         with pytest.raises(FormatError):
             read_frame(io.BytesIO(buf.getvalue()[:-9]))
 
+    def test_interrupted_write_to_path_leaves_no_file(self, tmp_path, monkeypatch):
+        frame = DepthFrame(np.ones((4, 5)), 10, 10, 2, 2, np.eye(4))
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            write_frame(frame, str(tmp_path / "a.pcfd"))
+        assert os.listdir(tmp_path) == []
 
     def test_every_truncation_raises_format_error(self):
         spec = SyntheticSceneSpec(seed=3, n_boxes=3, n_planes=0, n_cameras=1,

