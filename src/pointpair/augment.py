@@ -9,7 +9,7 @@ point jitter / dropout cover the remaining perturbation styles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,11 +19,11 @@ from .geometry import PointCloud, RigidScaleTransform, rotation_about_axis
 
 @dataclass(frozen=True)
 class AugmentationConfig(ConfigMixin):
-    rotation_enabled: bool = True
+    rotation_enabled: bool = field(default=True, metadata={"note": "uniform angle about a uniform random axis"})
     scale_min: float = 0.8
     scale_max: float = 1.2
-    jitter_sigma: float = 0.0  # meters; 0 disables
-    dropout_fraction: float = 0.0  # fraction of points removed; 0 disables
+    jitter_sigma: float = field(default=0.0, metadata={"note": "meters; 0 disables"})
+    dropout_fraction: float = field(default=0.0, metadata={"note": "fraction of points removed; 0 disables"})
     rng_seed: int = 0
 
     def __post_init__(self):

@@ -6,7 +6,8 @@ Subcommands:
     pretrain  run the contrastive pre-training loop over a pair directory
     eval      score a checkpoint (or a baseline) with hit ratio / FMR
     verify    run the gradient-check and oracle suites
-    template  write an annotated config template (train or scene)
+    template  write an annotated config template (train or scene): the
+              config dataclass defaults and field notes, written out
 
 Every run writes a manifest.json into its output directory before doing any
 work.  Every output file is written through `errors.file_stream`: to a
@@ -39,6 +40,7 @@ from .evaluate import (
 )
 from .frames import SyntheticSceneSpec, read_frame, synthesize_scene, write_frame
 from .net.unet import UNet
+from .pairs import DEFAULT_MATCH_RADIUS, DEFAULT_OVERLAP_THRESHOLD, DEFAULT_STRIDE, DEFAULT_VOXEL_SIZE
 from .pairs import generate_pairs, read_pair, write_pair
 from .train import TrainConfig, load_checkpoint, train
 from .verify import run_suite
@@ -65,67 +67,6 @@ def load_train_config(path: str) -> TrainConfig:
 
 def load_scene_spec(path: str) -> SyntheticSceneSpec:
     return SyntheticSceneSpec.from_ini(path, "scene")
-
-
-TRAIN_TEMPLATE = """\
-[train]
-max_iters = 500
-base_lr = 0.1            ; desk-scale setting; large-batch schedules use 0.8
-lr_power = 0.9           ; polynomial decay exponent
-momentum = 0.9
-weight_decay = 0.0001
-voxel_size = 0.025       ; meters
-seed = 0
-grad_accum = 1           ; pairs accumulated per optimizer step
-checkpoint_every = 0     ; 0 = final checkpoint only
-
-[loss]
-variant = info_nce       ; info_nce | hardest_contrastive
-tau = 0.07               ; softmax temperature
-ns = 4096                ; matched-pair subsample for info_nce
-m_p = 0.1                ; positive margin (unit-norm feature space)
-m_n = 1.4                ; negative margin
-pos_sample = 1024        ; matched-pair subsample for hardest_contrastive
-hardest_neg_sample = 256 ; mining pool size per direction
-normalize_features = true
-neg_exclude_radius = 0.0 ; meters; suppress mined negatives this close to the true partner
-
-[augment]
-rotation_enabled = true  ; uniform angle about a uniform random axis
-scale_min = 0.8
-scale_max = 1.2
-jitter_sigma = 0.0       ; meters; 0 disables
-dropout_fraction = 0.0   ; 0 disables
-rng_seed = 0
-
-[unet]
-levels = 3
-channels = 16,32,64
-blocks_per_level = 1
-kernel_size = 3
-in_dim = 1
-out_dim = 32
-bn_epsilon = 1e-5
-bn_momentum = 0.1
-"""
-
-SCENE_TEMPLATE = """\
-[scene]
-seed = 0
-n_boxes = 5
-n_planes = 2
-room_size = 4.0,4.0,2.4  ; meters
-box_extent = 0.4,1.2     ; min,max box edge length in meters
-plane_extent = 1.0,2.5   ; min,max plane edge length in meters
-density = 800.0          ; surface samples per square meter
-n_cameras = 6
-image_width = 64
-image_height = 48
-focal = 52.0             ; pixels
-camera_ring_radius = 1.5
-camera_height = 1.3
-max_depth = 12.0
-"""
 
 
 def cmd_synth(args) -> int:
@@ -241,9 +182,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_template(args) -> int:
-    text = TRAIN_TEMPLATE if args.kind == "train" else SCENE_TEMPLATE
+    cfg = TrainConfig() if args.kind == "train" else SyntheticSceneSpec()
     with file_stream(args.out, "w") as fh:
-        fh.write(text)
+        fh.write(cfg.to_ini(args.kind))
     print(f"wrote {args.kind} template to {args.out}")
     return 0
 
@@ -262,10 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pairgen", help="build overlapping view pairs from frames")
     p.add_argument("--frames", required=True, help="directory of .pcfd frames")
     p.add_argument("--out", required=True)
-    p.add_argument("--stride", type=int, default=25, help="keep every stride-th frame")
-    p.add_argument("--threshold", type=float, default=0.30, help="minimum view overlap")
-    p.add_argument("--radius", type=float, default=0.025, help="match radius in meters")
-    p.add_argument("--voxel-size", type=float, default=0.025, dest="voxel_size")
+    p.add_argument("--stride", type=int, default=DEFAULT_STRIDE, help="keep every stride-th frame")
+    p.add_argument("--threshold", type=float, default=DEFAULT_OVERLAP_THRESHOLD, help="minimum view overlap")
+    p.add_argument("--radius", type=float, default=DEFAULT_MATCH_RADIUS, help="match radius in meters")
+    p.add_argument("--voxel-size", type=float, default=DEFAULT_VOXEL_SIZE, dest="voxel_size")
     p.set_defaults(fn=cmd_pairgen)
 
     p = sub.add_parser("pretrain", help="run contrastive pre-training")
@@ -280,8 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--pairs", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--inlier-distance", type=float, default=0.1, dest="inlier_distance")
-    p.add_argument("--inlier-ratio", type=float, default=0.05, dest="inlier_ratio")
+    fmr = FmrConfig()
+    p.add_argument("--inlier-distance", type=float, default=fmr.inlier_distance, dest="inlier_distance")
+    p.add_argument("--inlier-ratio", type=float, default=fmr.inlier_ratio_threshold, dest="inlier_ratio")
     p.add_argument("--features", choices=("model", "coords", "random"), default="model")
     p.set_defaults(fn=cmd_eval)
 

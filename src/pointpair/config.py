@@ -1,17 +1,21 @@
 """Config I/O derived from the dataclass fields.
 
 `ConfigMixin` gives a config dataclass `to_dict` / `from_dict` (the JSON echo
-in manifests and checkpoints) and `from_ini`.  In an INI file a field whose
-type is another config dataclass is a section named after the field; every
-other field is a required key, cast from its annotation: `bool` as an INI
-boolean, `tuple[T, ...]` as comma-separated values, a fixed-length tuple with
-exactly that many.  Missing or unknown keys and sections raise ConfigError.
+in manifests and checkpoints) and `from_ini` / `to_ini`.  In an INI file a
+field whose type is another config dataclass is a section named after the
+field; every other field is a required key, cast from its annotation: `bool`
+as an INI boolean, `tuple[T, ...]` as comma-separated values, a fixed-length
+tuple with exactly that many.  Missing or unknown keys and sections, and a
+non-finite float value, raise ConfigError.  `to_ini` writes a
+field's `metadata["note"]` as an inline `; note` comment, so the config
+templates are the dataclass defaults written out.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import typing
 
 from .errors import ConfigError
@@ -24,6 +28,22 @@ def _fields(cls) -> dict[str, type]:
 
 def _is_config(tp) -> bool:
     return isinstance(tp, type) and issubclass(tp, ConfigMixin)
+
+
+def _non_finite(value) -> bool:
+    """Whether a field value (a scalar, or a tuple or list of them) holds nan or inf."""
+    values = value if isinstance(value, (tuple, list)) else (value,)
+    return any(isinstance(v, float) and not math.isfinite(v) for v in values)
+
+
+def _format(value) -> str:
+    """INI text of a scalar or tuple value that `_parse` reads back exactly
+    (`str` of a float is its shortest round-tripping repr)."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(map(_format, value))
+    return str(value)
 
 
 def _parse(cp: configparser.ConfigParser, section: str, key: str, tp):
@@ -67,6 +87,8 @@ class ConfigMixin:
         kwargs = {}
         for name, tp in fields.items():
             value = d[name]
+            if _non_finite(value):
+                raise ConfigError(f"config key '{name}' must be finite, got {value!r}")
             if _is_config(tp):
                 value = tp.from_dict(value)
             elif typing.get_origin(tp) is tuple:
@@ -87,6 +109,20 @@ class ConfigMixin:
             return cls.from_dict(d)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+
+    def to_ini(self, section: str) -> str:
+        """INI text that `from_ini(path, section)` reads back as this config:
+        scalar fields in `section`, then one section per nested config."""
+        lines, nested = [f"[{section}]"], []
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, ConfigMixin):
+                nested.append(value.to_ini(f.name))
+                continue
+            line = f"{f.name} = {_format(value)}"
+            note = f.metadata.get("note")
+            lines.append(f"{line}  ; {note}" if note else line)
+        return "\n".join(["\n".join(lines) + "\n", *nested])
 
     @classmethod
     def _take_section(cls, cp: configparser.ConfigParser, section: str) -> dict:

@@ -11,7 +11,7 @@ Depth value 0 marks an invalid pixel.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,14 +118,14 @@ class SyntheticSceneSpec(ConfigMixin):
     seed: int = 0
     n_boxes: int = 5
     n_planes: int = 2
-    room_size: tuple[float, float, float] = (4.0, 4.0, 2.4)
-    box_extent: tuple[float, float] = (0.4, 1.2)
-    plane_extent: tuple[float, float] = (1.0, 2.5)
-    density: float = 800.0  # surface samples per square meter
+    room_size: tuple[float, float, float] = field(default=(4.0, 4.0, 2.4), metadata={"note": "meters"})
+    box_extent: tuple[float, float] = field(default=(0.4, 1.2), metadata={"note": "min,max box edge in meters"})
+    plane_extent: tuple[float, float] = field(default=(1.0, 2.5), metadata={"note": "min,max plane edge in meters"})
+    density: float = field(default=800.0, metadata={"note": "surface samples per square meter"})
     n_cameras: int = 6
     image_width: int = 64
     image_height: int = 48
-    focal: float = 52.0  # pixels
+    focal: float = field(default=52.0, metadata={"note": "pixels"})
     camera_ring_radius: float = 1.5
     camera_height: float = 1.3
     max_depth: float = 12.0

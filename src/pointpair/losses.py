@@ -25,7 +25,7 @@ provided here and applied by the trainer for both variants by default.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,17 +41,17 @@ _TINY = 1e-12
 
 @dataclass(frozen=True)
 class LossConfig(ConfigMixin):
-    variant: str = VARIANT_INFO_NCE
-    tau: float = 0.07
-    ns: int = 4096  # matched-pair subsample for info_nce
-    m_p: float = 0.1
-    m_n: float = 1.4
-    pos_sample: int = 1024  # matched-pair subsample for hardest_contrastive
-    hardest_neg_sample: int = 256  # mining pool size per direction
+    variant: str = field(default=VARIANT_INFO_NCE, metadata={"note": f"{VARIANT_INFO_NCE} | {VARIANT_HARDEST}"})
+    tau: float = field(default=0.07, metadata={"note": "softmax temperature"})
+    ns: int = field(default=4096, metadata={"note": "matched-pair subsample for info_nce"})
+    m_p: float = field(default=0.1, metadata={"note": "positive margin (unit-norm feature space)"})
+    m_n: float = field(default=1.4, metadata={"note": "negative margin"})
+    pos_sample: int = field(default=1024, metadata={"note": "matched-pair subsample for hardest_contrastive"})
+    hardest_neg_sample: int = field(default=256, metadata={"note": "mining pool size per direction"})
     normalize_features: bool = True
-    # mining candidates closer than this (meters) to the anchor's true partner
-    # are false negatives and excluded; 0 excludes only the partner itself
-    neg_exclude_radius: float = 0.0
+    neg_exclude_radius: float = field(
+        default=0.0, metadata={"note": "meters; suppress mined negatives this close to the true partner"}
+    )
 
     def __post_init__(self):
         if self.variant not in (VARIANT_INFO_NCE, VARIANT_HARDEST):

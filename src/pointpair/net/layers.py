@@ -86,9 +86,9 @@ class CoordContext:
 
     __slots__ = ("coords", "hash", "n", "_stride1_cache")
 
-    def __init__(self, coords: np.ndarray, hash_map: VoxelHashMap | None = None):
+    def __init__(self, coords: np.ndarray):
         self.coords = np.ascontiguousarray(coords, dtype=np.int64)
-        self.hash = hash_map if hash_map is not None else VoxelHashMap(self.coords)
+        self.hash = VoxelHashMap(self.coords)  # duplicate check runs here
         self.n = self.coords.shape[0]
         self._stride1_cache: dict[int, OffsetMaps] = {}
 
@@ -213,7 +213,7 @@ def sparse_conv_forward(
     kernel_size = round(kernel.shape[0] ** (1 / 3))
     if kernel_size**3 != kernel.shape[0]:
         raise ValueError(f"kernel has {kernel.shape[0]} taps, not a perfect cube")
-    ctx_in = CoordContext(inp.coords, inp.hash)
+    ctx_in = CoordContext(inp.coords)
     if stride == 1:
         ctx_out = ctx_in
         maps = ctx_in.stride1_maps(kernel_size)

@@ -78,6 +78,10 @@ class UNetConfig(ConfigMixin):
             raise ValueError("kernel_size must be odd")
         if self.blocks_per_level < 1 or self.in_dim < 1 or self.out_dim < 1:
             raise ValueError("blocks_per_level, in_dim and out_dim must be >= 1")
+        if not self.bn_epsilon > 0:
+            raise ValueError("bn_epsilon must be positive")
+        if not 0 <= self.bn_momentum <= 1:
+            raise ValueError("bn_momentum must lie in [0, 1]")
 
 
 @dataclass
@@ -250,7 +254,7 @@ class UNet:
         if inp.feature_dim != cfg.in_dim:
             raise ValueError(f"input width {inp.feature_dim} != configured in_dim {cfg.in_dim}")
         k = cfg.kernel_size
-        ctxs = [CoordContext(inp.coords, inp.hash)]
+        ctxs = [CoordContext(inp.coords)]
         down_maps: list[OffsetMaps] = []
         for l in range(cfg.levels - 1):
             coarse = CoordContext(downsample_coords(ctxs[l].coords))
@@ -285,9 +289,9 @@ class UNet:
         tape = UNetTape(ctxs, units, head if mode == "train" else None, bn_stats)
         return inp.replace_features(out), tape
 
-    def backward(self, tape: UNetTape, d_out: np.ndarray, params: ParameterSet):
+    def backward(self, tape: UNetTape, d_out: np.ndarray):
         """Exact adjoint of forward: gradient registry plus input-feature grads.
-        The kernels are read from the tape, so `params` goes unused."""
+        The kernels are read from the tape."""
         if tape.head is None:
             raise ValueError("an eval-mode tape records no activations to run backward on")
         tape.consume()

@@ -70,14 +70,14 @@ class SkipStep(PointPairError):
 @dataclass(frozen=True)
 class TrainConfig(ConfigMixin):
     max_iters: int = 500
-    base_lr: float = 0.8
-    lr_power: float = 0.9
+    base_lr: float = field(default=0.1, metadata={"note": "desk-scale setting; large-batch schedules use 0.8"})
+    lr_power: float = field(default=0.9, metadata={"note": "polynomial decay exponent"})
     momentum: float = 0.9
     weight_decay: float = 1e-4
-    voxel_size: float = 0.025
+    voxel_size: float = field(default=0.025, metadata={"note": "meters"})
     seed: int = 0
-    grad_accum: int = 1
-    checkpoint_every: int = 0  # 0 = final checkpoint only
+    grad_accum: int = field(default=1, metadata={"note": "pairs accumulated per optimizer step"})
+    checkpoint_every: int = field(default=0, metadata={"note": "0 = final checkpoint only"})
     loss: LossConfig = field(default_factory=LossConfig)
     augment: AugmentationConfig = field(default_factory=AugmentationConfig)
     unet: UNetConfig = field(default_factory=UNetConfig)
@@ -87,8 +87,16 @@ class TrainConfig(ConfigMixin):
             raise ValueError("max_iters must be >= 1")
         if not self.base_lr > 0:
             raise ValueError("base_lr must be positive")
+        if not self.lr_power >= 0:
+            raise ValueError("lr_power must be non-negative")
+        if not 0 <= self.momentum < 1:
+            raise ValueError("momentum must lie in [0, 1)")
+        if not self.weight_decay >= 0:
+            raise ValueError("weight_decay must be non-negative")
         if self.grad_accum < 1:
             raise ValueError("grad_accum must be >= 1")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be non-negative")
 
 
 @dataclass
@@ -248,9 +256,9 @@ def forward_backward(
     del res  # the loss gradients are scattered; the backward needs only dn1, dn2
     collapse = collapse_metric(np.vstack([batch.f1, batch.f2]))
     bn_stats = tape1.bn_stats + tape2.bn_stats
-    grads, _ = unet.backward(tape1, vjp1(dn1), params)
+    grads, _ = unet.backward(tape1, vjp1(dn1))
     del tape1
-    grads2, _ = unet.backward(tape2, vjp2(dn2), params)
+    grads2, _ = unet.backward(tape2, vjp2(dn2))
     del tape2
     grads.add_scaled(grads2)
     return StepOutcome(loss, collapse, grads, bn_stats)

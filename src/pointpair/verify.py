@@ -336,7 +336,7 @@ def _check_unet_gradients(rng: np.random.Generator, instances: int) -> CheckResu
             out, t = unet.forward(tensor, params, "train")
             return float((out.features * weight).sum()), relu_masks(t)
 
-        grads, d_in = unet.backward(tape, weight, params)
+        grads, d_in = unet.backward(tape, weight)
         worst = max(worst, fd_compare_masked(value_and_masks, feats, d_in, rng, max_count=12))
         for name in grads.names():
             worst = max(worst, fd_compare_masked(value_and_masks, params[name], grads[name], rng, max_count=8))
@@ -411,7 +411,7 @@ def _check_hardest_gradients(rng: np.random.Generator, instances: int) -> CheckR
     return CheckResult("gradcheck.hardest_contrastive", passed, f"max rel err {worst:.3e}")
 
 
-def run_gradcheck_suite(seed: int = 0, instances: int = 20) -> list[CheckResult]:
+def run_gradcheck_suite(seed: int, instances: int) -> list[CheckResult]:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x6AD0))))
     return [
         _check_conv_gradients(rng, "stride1", instances),
@@ -544,7 +544,7 @@ def _check_schedule_closed_forms() -> CheckResult:
     return CheckResult("oracle.schedules", worst < 1e-12, f"max dev {worst:.3e}")
 
 
-def run_oracle_suite(seed: int = 0) -> list[CheckResult]:
+def run_oracle_suite(seed: int) -> list[CheckResult]:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x04AC))))
     return [
         _check_nn_oracle(rng),
@@ -556,7 +556,7 @@ def run_oracle_suite(seed: int = 0) -> list[CheckResult]:
     ]
 
 
-def run_suite(name: str, seed: int = 0, instances: int = 20) -> list[CheckResult]:
+def run_suite(name: str, seed: int, instances: int) -> list[CheckResult]:
     if name == "gradcheck":
         return run_gradcheck_suite(seed, instances)
     if name == "oracles":

@@ -7,7 +7,7 @@ point, which keeps quantization deterministic and its gradient trivial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,7 +103,6 @@ class SparseVoxelTensor:
     voxel_size: float
     origin_map: np.ndarray | None = None
     first_points: np.ndarray | None = None
-    _hash: VoxelHashMap | None = field(default=None, repr=False)
 
     def __post_init__(self):
         coords = np.ascontiguousarray(self.coords, dtype=np.int64)
@@ -131,17 +130,9 @@ class SparseVoxelTensor:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def hash(self) -> VoxelHashMap:
-        if self._hash is None:
-            self._hash = VoxelHashMap(self.coords)  # duplicate check runs here
-        return self._hash
-
     def replace_features(self, features: np.ndarray) -> "SparseVoxelTensor":
         """Same coordinates and bookkeeping, new feature matrix."""
-        return SparseVoxelTensor(
-            self.coords, features, self.voxel_size, self.origin_map, self.first_points, self._hash
-        )
+        return SparseVoxelTensor(self.coords, features, self.voxel_size, self.origin_map, self.first_points)
 
 
 def quantize(pc: PointCloud, voxel_size: float) -> SparseVoxelTensor:
@@ -173,8 +164,9 @@ def devoxelize(t: SparseVoxelTensor) -> np.ndarray:
 
 
 def voxel_hash_lookup(t: SparseVoxelTensor, coord) -> int | None:
-    """Row index of `coord` in the tensor, or None when absent."""
-    row = t.hash.lookup(np.asarray(coord, dtype=np.int64).reshape(1, 3))[0]
+    """Row index of `coord` in the tensor, or None when absent.  Builds the
+    tensor's lookup for this call."""
+    row = VoxelHashMap(t.coords).lookup(np.asarray(coord, dtype=np.int64).reshape(1, 3))[0]
     return None if row < 0 else int(row)
 
 

@@ -1,4 +1,3 @@
-import configparser
 import io
 import json
 import os
@@ -8,15 +7,17 @@ import numpy as np
 import pytest
 
 from pointpair import cli
+from pointpair.augment import AugmentationConfig
 from pointpair.errors import FormatError
-from pointpair.frames import read_frame
+from pointpair.frames import SyntheticSceneSpec, read_frame
 from pointpair.geometry import PointCloud
+from pointpair.losses import LossConfig
 from pointpair.net import layers
 from pointpair.net.params import load_params
 from pointpair.net.unet import UNet, UNetConfig
 from pointpair.pairs import generate_pairs, read_pair, write_pair
 from pointpair.ply import ply_bytes, read_ply
-from pointpair.train import OptimizerState, save_checkpoint
+from pointpair.train import OptimizerState, TrainConfig, save_checkpoint
 
 
 @pytest.fixture()
@@ -26,63 +27,29 @@ def workdir(tmp_path, monkeypatch):
 
 
 def _write_scene(path, seed=5, cameras=4):
-    path.write_text(
-        f"""[scene]
-seed = {seed}
-n_boxes = 5
-n_planes = 1
-room_size = 4.0,4.0,2.4
-box_extent = 0.3,0.8
-plane_extent = 0.8,1.6
-density = 1500.0
-n_cameras = {cameras}
-image_width = 64
-image_height = 48
-focal = 60.0
-camera_ring_radius = 1.5
-camera_height = 1.3
-max_depth = 12.0
-"""
-    )
+    spec = SyntheticSceneSpec(seed=seed, n_boxes=5, n_planes=1, box_extent=(0.3, 0.8),
+                              plane_extent=(0.8, 1.6), density=1500.0, n_cameras=cameras,
+                              focal=60.0)
+    path.write_text(spec.to_ini("scene"))
 
 
 def _write_train(path, max_iters=2, drop_key=None):
-    cp = configparser.ConfigParser()
-    cp["train"] = {
-        "max_iters": str(max_iters), "base_lr": "0.05", "lr_power": "0.9",
-        "momentum": "0.9", "weight_decay": "0.0001", "voxel_size": "0.05",
-        "seed": "0", "grad_accum": "1", "checkpoint_every": "0",
-    }
-    cp["loss"] = {
-        "variant": "info_nce", "tau": "0.2", "ns": "128", "m_p": "0.1", "m_n": "1.4",
-        "pos_sample": "128", "hardest_neg_sample": "64", "normalize_features": "true",
-        "neg_exclude_radius": "0.0",
-    }
-    cp["augment"] = {
-        "rotation_enabled": "false", "scale_min": "0.95", "scale_max": "1.05",
-        "jitter_sigma": "0.0", "dropout_fraction": "0.0", "rng_seed": "0",
-    }
-    cp["unet"] = {
-        "levels": "2", "channels": "4,6", "blocks_per_level": "1", "kernel_size": "3",
-        "in_dim": "1", "out_dim": "8", "bn_epsilon": "1e-5", "bn_momentum": "0.1",
-    }
-    if drop_key:
-        section, key = drop_key
-        cp.remove_option(section, key)
-    with open(path, "w") as fh:
-        cp.write(fh)
+    cfg = TrainConfig(
+        max_iters=max_iters, base_lr=0.05, voxel_size=0.05,
+        loss=LossConfig(tau=0.2, ns=128, pos_sample=128, hardest_neg_sample=64),
+        augment=AugmentationConfig(rotation_enabled=False, scale_min=0.95, scale_max=1.05),
+        unet=UNetConfig(levels=2, channels=(4, 6), out_dim=8),
+    )
+    lines = cfg.to_ini("train").splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if line.split(" = ")[0] != drop_key))
 
 
 class TestTemplates:
     def test_templates_parse_back(self, workdir):
         assert cli.main(["template", "train", "--out", "t.ini"]) == 0
         assert cli.main(["template", "scene", "--out", "s.ini"]) == 0
-        cfg = cli.load_train_config("t.ini")
-        assert cfg.loss.ns == 4096 and cfg.loss.m_p == 0.1 and cfg.loss.m_n == 1.4
-        assert cfg.lr_power == 0.9 and cfg.weight_decay == 1e-4
-        spec = cli.load_scene_spec("s.ini")
-        assert spec.n_cameras == 6
-        assert spec.plane_extent == (1.0, 2.5)
+        assert cli.load_train_config("t.ini") == TrainConfig()
+        assert cli.load_scene_spec("s.ini") == SyntheticSceneSpec()
 
     def test_scene_plane_extent_is_read(self, workdir):
         _write_scene(workdir / "scene.ini")
@@ -103,6 +70,40 @@ class TestStrictIni:
         rc = cli.main(["pretrain", "--pairs", "nowhere", "--config", "train.ini", "--out", "run"])
         assert rc == 1
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, raw", [
+        ("train", "momentum", "nan"),
+        ("train", "momentum", "1.0"),
+        ("train", "weight_decay", "nan"),
+        ("train", "weight_decay", "-0.1"),
+        ("train", "lr_power", "nan"),
+        ("train", "lr_power", "-1"),
+        ("train", "checkpoint_every", "-1"),
+        ("unet", "bn_momentum", "nan"),
+        ("unet", "bn_momentum", "1.5"),
+        ("unet", "bn_epsilon", "-1"),
+        ("unet", "bn_epsilon", "0"),
+        ("augment", "jitter_sigma", "nan"),
+        ("loss", "neg_exclude_radius", "inf"),
+        ("scene", "density", "nan"),
+        ("scene", "room_size", "4.0,inf,2.4"),
+    ])
+    def test_bad_values_exit_1_before_the_out_dir(self, workdir, capsys, section, key, raw):
+        if section == "scene":
+            _write_scene(workdir / "c.ini")
+            argv = ["synth", "--spec", "c.ini", "--out", "out"]
+        else:
+            _write_train(workdir / "c.ini")
+            argv = ["pretrain", "--pairs", "nowhere", "--config", "c.ini", "--out", "out"]
+        lines = (workdir / "c.ini").read_text().splitlines()
+        start = lines.index(f"[{section}]")
+        row = next(i for i in range(start, len(lines)) if lines[i].split(" = ")[0] == key)
+        lines[row] = f"{key} = {raw}"
+        (workdir / "c.ini").write_text("\n".join(lines) + "\n")
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not os.path.exists(workdir / "out")
 
     @pytest.mark.parametrize("edit, name", [
         (("max_depth = 12.0", "max_depth = 12.0\nbogus_key = 7"), "bogus_key"),
@@ -236,7 +237,7 @@ class TestPretrainEval:
         assert os.path.exists(workdir / "run" / "checkpoint_final.ckpt")
 
     def test_missing_key_names_the_key(self, workdir, pairs_dir, capsys):
-        _write_train(workdir / "train.ini", drop_key=("loss", "tau"))
+        _write_train(workdir / "train.ini", drop_key="tau")
         rc = cli.main(["pretrain", "--pairs", pairs_dir, "--config", "train.ini",
                        "--out", "run"])
         assert rc == 1

@@ -1,5 +1,6 @@
 import configparser
 
+import numpy as np
 import pytest
 
 from pointpair.augment import AugmentationConfig
@@ -50,6 +51,15 @@ def test_from_dict_rejects_unknown_and_missing_keys():
         UNetConfig.from_dict(d)
 
 
+def test_from_dict_rejects_non_finite_values():
+    # the checkpoint echo takes this path without an INI file
+    d = SyntheticSceneSpec().to_dict()
+    with pytest.raises(ConfigError, match="config key 'density' must be finite"):
+        SyntheticSceneSpec.from_dict(d | {"density": float("nan")})
+    with pytest.raises(ConfigError, match="config key 'room_size' must be finite"):
+        SyntheticSceneSpec.from_dict(d | {"room_size": [4.0, float("inf"), 2.4]})
+
+
 def _write_ini(path, sections: dict) -> None:
     cp = configparser.ConfigParser()
     cp.read_dict(sections)
@@ -57,17 +67,22 @@ def _write_ini(path, sections: dict) -> None:
         cp.write(fh)
 
 
+_DEFAULTS = [LossConfig(), AugmentationConfig(), UNetConfig(), SyntheticSceneSpec(), TrainConfig()]
+
+
 def test_ini_roundtrip_and_casts(tmp_path):
-    cfg = _NON_DEFAULT[-1]
-    sections = {"train": {}}
-    for key, value in cfg.to_dict().items():
-        if isinstance(value, dict):
-            sections[key] = {k: ",".join(map(str, v)) if isinstance(v, list) else str(v)
-                             for k, v in value.items()}
-        else:
-            sections["train"][key] = str(value)
-    _write_ini(tmp_path / "t.ini", sections)
-    assert TrainConfig.from_ini(str(tmp_path / "t.ini"), "train") == cfg
+    for cfg in _NON_DEFAULT + _DEFAULTS:
+        (tmp_path / "c.ini").write_text(cfg.to_ini("section"))
+        assert type(cfg).from_ini(str(tmp_path / "c.ini"), "section") == cfg
+
+
+def test_to_ini_layout():
+    text = TrainConfig(base_lr=np.float64(0.1) + 0.2).to_ini("train")
+    sections = [line for line in text.splitlines() if line.startswith("[")]
+    assert sections == ["[train]", "[loss]", "[augment]", "[unet]"]
+    assert "base_lr = 0.30000000000000004  ; desk-scale setting" in text  # exact, for a numpy float too
+    assert "\nnormalize_features = true\n" in text
+    assert "\nchannels = 16,32,64\n" in text
 
 
 @pytest.mark.parametrize("key, raw, message", [

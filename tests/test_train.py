@@ -263,10 +263,10 @@ class TestStepMemory:
 
         unet_backward = UNet.backward
 
-        def backward_spy(self, tape, d_out, params):
+        def backward_spy(self, tape, d_out):
             seen_alive.append([r for r in loss_refs + tape_refs if r() is not None])
             tape_refs.append(weakref.ref(tape))
-            return unet_backward(self, tape, d_out, params)
+            return unet_backward(self, tape, d_out)
 
         monkeypatch.setattr(train_module, variant, loss_spy)
         monkeypatch.setattr(unet_module, "batch_norm_forward",

@@ -78,7 +78,7 @@ class TestForward:
         inp = _input(rng, 60, cfg.in_dim)
         digest = params.digest()
         out, tape = unet.forward(inp, params, "train")
-        grads, _ = unet.backward(tape, np.ones_like(out.features), params)
+        grads, _ = unet.backward(tape, np.ones_like(out.features))
         assert params.digest() == digest
         commit_bn_stats(params, tape.bn_stats, cfg.bn_momentum)
         assert params.digest() != digest  # running stats move only on commit
@@ -103,7 +103,7 @@ class TestForward:
         params = unet.init_params(0)
         inp = _input(rng, 50, cfg.in_dim)
         out, tape = unet.forward(inp, params, "train")
-        grads, d_in = unet.backward(tape, np.ones_like(out.features), params)
+        grads, d_in = unet.backward(tape, np.ones_like(out.features))
         assert d_in.shape == inp.features.shape
         assert set(grads.tensors) == {n for n in params.names() if is_trainable(n)}
 
@@ -121,9 +121,9 @@ class TestForward:
         params = unet.init_params(0)
         inp = _input(rng, 30, cfg.in_dim)
         out, tape = unet.forward(inp, params, "train")
-        unet.backward(tape, np.zeros_like(out.features), params)
+        unet.backward(tape, np.zeros_like(out.features))
         with pytest.raises(RuntimeError):
-            unet.backward(tape, np.zeros_like(out.features), params)
+            unet.backward(tape, np.zeros_like(out.features))
 
 
 def _bn(prefix, c):
@@ -262,7 +262,7 @@ class TestEvalTape:
         assert tape.units == {} and tape.head is None and tape.bn_stats == []
         assert relu_masks(tape) == []
         with pytest.raises(ValueError, match="eval-mode tape"):
-            unet.backward(tape, np.ones_like(out.features), params)
+            unet.backward(tape, np.ones_like(out.features))
 
     def test_eval_forward_peak_under_half_of_a_recording_forward(self, rng, monkeypatch):
         import tracemalloc
