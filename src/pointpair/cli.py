@@ -10,9 +10,13 @@ Subcommands:
               config dataclass defaults and field notes, written out
 
 Every run writes a manifest.json into its output directory before doing any
-work.  Every output file is written through `errors.file_stream`: to a
-temporary name that is renamed over the target on completion, and removed
-if the write fails, so a file is either whole or absent.  Exit codes:
+work; it records the environment the run's numbers depend on (Python, numpy,
+platform, BLAS build, BLAS thread settings and the network's compute dtype).
+A missing input path (`--frames`, `--pairs`, `--resume`, `--checkpoint`) is
+a validation error raised before the output directory is created.  Every
+output file is written through `errors.file_stream`: to a temporary name
+that is renamed over the target on completion, and removed if the write
+fails, so a file is either whole or absent.  Exit codes:
 0 success, 1 validation error, 2 runtime failure.
 An unexpected failure (a bug, not a bad input) also leaves its traceback:
 in `traceback.txt` inside the command's `--out` directory when it exists,
@@ -24,9 +28,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import platform
 import sys
 import time
 import traceback
+
+import numpy as np
 
 from . import __version__
 from .errors import ConfigError, PointPairError, file_stream, write_json
@@ -39,11 +46,40 @@ from .evaluate import (
     write_report,
 )
 from .frames import SyntheticSceneSpec, read_frame, synthesize_scene, write_frame
-from .net.unet import UNet
+from .net.unet import COMPUTE_DTYPE, UNet
 from .pairs import DEFAULT_MATCH_RADIUS, DEFAULT_OVERLAP_THRESHOLD, DEFAULT_STRIDE, DEFAULT_VOXEL_SIZE
 from .pairs import generate_pairs, read_pair, write_pair
 from .train import TrainConfig, load_checkpoint, train
 from .verify import run_suite
+
+
+def _blas() -> dict | None:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # an older numpy without mode="dicts"
+        return None
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
+def _environment() -> dict:
+    """What a run's numbers depend on besides its inputs and config: GEMM
+    results, and so checkpoint bytes, are reproducible only for one BLAS
+    build and one BLAS thread count."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "blas": _blas(),
+        "threads": {name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+        "compute_dtype": np.dtype(COMPUTE_DTYPE).name,
+    }
+
+
+def _require_input(flag: str, path: str, directory: bool) -> None:
+    """Reject a missing input path as a validation error; call before
+    `_write_manifest`, so that a bad path leaves no output directory."""
+    if not (os.path.isdir(path) if directory else os.path.isfile(path)):
+        raise ConfigError(f"{flag}: no such {'directory' if directory else 'file'} '{path}'")
 
 
 def _write_manifest(out_dir: str, command: str, config_echo: dict, seed, artifacts: list[str]) -> None:
@@ -57,6 +93,7 @@ def _write_manifest(out_dir: str, command: str, config_echo: dict, seed, artifac
             "artifacts": artifacts,
             "tool_version": __version__,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+            "environment": _environment(),
         },
     )
 
@@ -83,6 +120,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_pairgen(args) -> int:
+    _require_input("--frames", args.frames, directory=True)
     frame_files = sorted(
         f for f in os.listdir(args.frames) if f.endswith(".pcfd")
     )
@@ -124,6 +162,9 @@ def cmd_pretrain(args) -> int:
     cfg = load_train_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
+    _require_input("--pairs", args.pairs, directory=True)
+    if args.resume is not None:
+        _require_input("--resume", args.resume, directory=False)
     artifacts = ["checkpoint_final.ckpt", "train_log.csv"]
     _write_manifest(args.out, "pretrain", cfg.to_dict(), cfg.seed, artifacts)
     corpus = _load_pairs(args.pairs)
@@ -138,8 +179,10 @@ def cmd_pretrain(args) -> int:
 
 def cmd_eval(args) -> int:
     fmr_cfg = FmrConfig(args.inlier_distance, args.inlier_ratio)
+    _require_input("--checkpoint", args.checkpoint, directory=False)
     params, echo, _ = load_checkpoint(args.checkpoint)
     cfg = TrainConfig.from_dict(echo)
+    _require_input("--pairs", args.pairs, directory=True)
     unet_cfg, voxel_size, normalize = cfg.unet, cfg.voxel_size, cfg.loss.normalize_features
     config_echo = {
         "checkpoint": args.checkpoint,

@@ -23,6 +23,12 @@ whole input, with no gather or scatter.  Every GEMM keeps the shape it has
 in the plain loop `out[dst] += feats[src] @ W[k]`, whose results these are
 bit for bit (OpenBLAS row results can change when GEMMs are stacked).
 
+Conv, BN and ReLU compute in the dtype of their input features: `conv_apply`
+and `conv_grads` allocate their outputs in it, and nothing here casts.  The
+U-Net passes float32 features and float32 copies of its parameters; the
+oracles and gradient checks pass float64 and stay exact.  Kernel and BN
+parameters must come in the features' dtype, or numpy promotes silently.
+
 Neighbor index maps depend only on coordinates, so they are built once per
 coordinate set (`CoordContext`) and shared by every layer at that resolution.
 Each map build is one batched sorted-key lookup over all its offsets.  Offset
@@ -136,7 +142,7 @@ def conv_apply(maps: OffsetMaps, feats_in: np.ndarray, kernel: np.ndarray, n_out
         )
     # C-contiguous like a gathered copy: a GEMM on a strided view can round differently
     feats_in = np.ascontiguousarray(feats_in)
-    out = np.zeros((n_out, kernel.shape[2]))
+    out = np.zeros((n_out, kernel.shape[2]), dtype=feats_in.dtype)
     for k, (dst, src) in enumerate(maps):
         if _is_identity(dst, src, feats_in.shape[0], n_out):
             out += feats_in @ kernel[k]
@@ -156,7 +162,7 @@ def conv_grads(
 ) -> tuple[np.ndarray, np.ndarray]:
     feats_in = np.ascontiguousarray(feats_in)
     d_out = np.ascontiguousarray(d_out)
-    d_in = np.zeros((n_in, kernel.shape[1]))
+    d_in = np.zeros((n_in, kernel.shape[1]), dtype=feats_in.dtype)
     d_kernel = np.zeros_like(kernel)
     for k, (dst, src) in enumerate(maps):
         if _is_identity(dst, src, n_in, d_out.shape[0]):

@@ -18,6 +18,17 @@ backward pass and `relu_masks` read them by name.  An eval-mode forward keeps
 no unit tape, so each activation is freed after its last use; its tape holds
 only the per-level `CoordContext`s.
 
+The network computes in float32 (`COMPUTE_DTYPE`); the parameter registry,
+the gradients, the BN running statistics and the checkpoints stay float64
+master copies.  `UNet.forward` casts the input features and every parameter
+once per call, and its output tensor upcasts the features to float64, so the
+losses and the eval search downstream run in float64.  `UNet.backward`
+casts the incoming gradient to the tape's dtype and accumulates the
+parameter gradients into a float64 `GradientSet`; `commit_bn_stats` folds
+the float32 batch statistics into the float64 running statistics.  A
+forward with `dtype=np.float64` runs every layer in float64, which the
+gradient checks use.
+
 The output coordinate set always equals the input coordinate set, row for
 row.  Forward passes never mutate the parameter registry; batch-norm batch
 statistics ride on the tape as `UNetTape.bn_stats`, small per-channel arrays
@@ -52,6 +63,9 @@ from .layers import (
     updated_running_stats,
 )
 from .params import GradientSet, ParameterSet, is_trainable
+
+# The dtype of activations, conv, BN and ReLU; parameters stay float64.
+COMPUTE_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -247,12 +261,19 @@ class UNet:
                 yield from blk.param_specs()
         yield self.head_key, (1, self.cfg.channels[0], self.cfg.out_dim)
 
-    def forward(self, inp: SparseVoxelTensor, params: ParameterSet, mode: str = "train"):
+    def forward(
+        self, inp: SparseVoxelTensor, params: ParameterSet, mode: str = "train", *, dtype=COMPUTE_DTYPE
+    ):
         """Run the network; returns (output tensor, tape).  Output coordinates
-        equal input coordinates row for row, with feature width cfg.out_dim."""
+        equal input coordinates row for row, with feature width cfg.out_dim.
+
+        Every layer computes in `dtype`: the input features and all of
+        `params` are cast to it once here, and the tape holds `dtype` arrays.
+        The output tensor's features are float64 whatever `dtype` is."""
         cfg = self.cfg
         if inp.feature_dim != cfg.in_dim:
             raise ValueError(f"input width {inp.feature_dim} != configured in_dim {cfg.in_dim}")
+        params = {name: t.astype(dtype, copy=False) for name, t in params.tensors.items()}
         k = cfg.kernel_size
         ctxs = [CoordContext(inp.coords)]
         down_maps: list[OffsetMaps] = []
@@ -271,7 +292,7 @@ class UNet:
                 bn_stats.extend(unit.bn_stats(unit_tape))
             return out
 
-        x = run(self.stem, ctxs[0].stride1_maps(k), inp.features, ctxs[0].n)
+        x = run(self.stem, ctxs[0].stride1_maps(k), inp.features.astype(dtype, copy=False), ctxs[0].n)
         skips: list[np.ndarray] = []
         for l in range(cfg.levels):
             for blk in self.enc_blocks[l]:
@@ -291,10 +312,13 @@ class UNet:
 
     def backward(self, tape: UNetTape, d_out: np.ndarray):
         """Exact adjoint of forward: gradient registry plus input-feature grads.
-        The kernels are read from the tape."""
+        The kernels are read from the tape.  `d_out` is cast to the dtype the
+        forward ran in, and the input-feature grads come back in it; the
+        parameter gradients are float64."""
         if tape.head is None:
             raise ValueError("an eval-mode tape records no activations to run backward on")
         tape.consume()
+        d_out = d_out.astype(tape.head.kernel.dtype, copy=False)
         cfg = self.cfg
         grads = GradientSet(
             {name: np.zeros(shape) for name, shape in self.param_specs() if is_trainable(name)}

@@ -2,10 +2,13 @@
 one shared parameter registry, a contrastive loss on matched voxel features,
 and SGD with momentum under polynomial learning-rate decay.
 
-Determinism contract: (seed, corpus, config) fully determine the loss trace.
-The pair schedule and every per-step random draw derive from counted seed
-sequences, never from carried generator state, so resuming from a checkpoint
-at iteration k reproduces the uninterrupted run bit for bit.
+Determinism contract: (seed, corpus, config) fully determine the loss trace,
+for one BLAS build and one BLAS thread count.  The pair schedule and every
+per-step random draw derive from counted seed sequences, never from carried
+generator state, so resuming from a checkpoint at iteration k reproduces the
+uninterrupted run bit for bit.  The U-Net runs in float32 on float64 master
+weights (`net.unet`); its output features, the losses, the gradients, the
+SGD step, the running statistics and the checkpoints are float64.
 
 Memory contract: a step holds the loss result only until its gradients are
 scattered (info_nce itself holds one row block of logits at a time, never

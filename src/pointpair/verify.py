@@ -4,8 +4,10 @@ independent brute-force oracles for the numerical core.
 Every oracle here deliberately avoids the code path it checks: nearest
 neighbors by exhaustive scan, sparse convolution by dense-grid convolution,
 the softmax objective by direct per-row cross-entropy, schedules by their
-closed forms.  The `verify` CLI subcommand runs these suites and reports one
-pass/fail line per check.
+closed forms.  Every check runs in float64, the U-Net's included
+(`dtype=np.float64`), so finite differences and oracles stay exact.  The
+`verify` CLI subcommand runs these suites and reports one pass/fail line per
+check.
 """
 
 from __future__ import annotations
@@ -329,11 +331,11 @@ def _check_unet_gradients(rng: np.random.Generator, instances: int) -> CheckResu
         feats = rng.standard_normal((n, cfg.in_dim))
         tensor = SparseVoxelTensor(coords, feats, 1.0)
         params = unet.init_params(int(rng.integers(1 << 30)))
-        out0, tape = unet.forward(tensor, params, "train")
+        out0, tape = unet.forward(tensor, params, "train", dtype=np.float64)
         weight = rng.standard_normal(out0.features.shape)
 
         def value_and_masks():
-            out, t = unet.forward(tensor, params, "train")
+            out, t = unet.forward(tensor, params, "train", dtype=np.float64)
             return float((out.features * weight).sum()), relu_masks(t)
 
         grads, d_in = unet.backward(tape, weight)

@@ -139,12 +139,19 @@ class TestSynth:
         assert rc == 1
         assert "primitive" in capsys.readouterr().err
 
-    def test_manifest_written(self, workdir):
+    def test_manifest_written(self, workdir, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         _write_scene(workdir / "scene.ini")
         cli.main(["synth", "--spec", "scene.ini", "--out", "m"])
         manifest = json.loads((workdir / "m" / "manifest.json").read_text())
         assert manifest["command"] == "synth"
         assert manifest["tool_version"]
+        env = manifest["environment"]
+        assert set(env) == {"python", "numpy", "platform", "blas", "threads", "compute_dtype"}
+        assert env["numpy"] == np.__version__ and env["compute_dtype"] == "float32"
+        assert env["blas"] is None or set(env["blas"]) == {"name", "version"}
+        assert env["threads"] == {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "3"}
         assert not [f for f in os.listdir("m") if f.endswith(".tmp")]
 
 
@@ -307,6 +314,30 @@ HUGE_HEADERS = {
     "params": (load_params, b"PCCK" + struct.pack("<I", 2) + b"{}" + struct.pack("<IH", 1, 1)
                + b"w" + struct.pack("<B2Q", 2, 1 << 20, 1 << 20) + bytes(24)),
 }
+
+
+class TestMissingInputPath:
+    """A missing input path is a validation error (exit 1) that names the flag
+    and the path, raised before the --out directory is created."""
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--frames", ["pairgen", "--frames", "nowhere", "--out", "out"]),
+        ("--pairs", ["pretrain", "--pairs", "nowhere", "--config", "c.ini", "--out", "out"]),
+        ("--resume", ["pretrain", "--pairs", "empty", "--config", "c.ini", "--out", "out",
+                      "--resume", "run/checkpoint_0002.ckpt"]),
+        ("--checkpoint", ["eval", "--checkpoint", "nowhere.ckpt", "--pairs", "empty", "--out", "out"]),
+        ("--pairs", ["eval", "--checkpoint", "run.ckpt", "--pairs", "nowhere", "--out", "out"]),
+    ], ids=["pairgen", "pretrain-pairs", "pretrain-resume", "eval-checkpoint", "eval-pairs"])
+    def test_exits_1_before_the_out_dir(self, workdir, capsys, flag, argv):
+        _write_train(workdir / "c.ini")
+        (workdir / "empty").mkdir()
+        cfg = TrainConfig.from_ini("c.ini", "train")
+        params = UNet(cfg.unet).init_params(0)
+        save_checkpoint("run.ckpt", params, cfg.to_dict(), OptimizerState.zeros(params))
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: no such ") and repr(argv[argv.index(flag) + 1]) in err
+        assert not os.path.exists(workdir / "out")
 
 
 class TestHugeHeaderCounts:

@@ -228,6 +228,7 @@ class TestViewReuse:
         for normalize in (True, False):
             fn = model_feature_fn(params, cfg, VOX, normalize)
             for f in fn(_pair(a, b)) + fn(_pair(b, a)):
+                assert f.dtype == np.float64  # the float32 network's output is upcast
                 assert not f.flags.writeable
                 with pytest.raises(ValueError):
                     f[0, 0] = 1.0

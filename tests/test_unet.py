@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from pointpair.geometry import PointCloud
 from pointpair.net.params import GradientSet, ParameterSet, is_trainable, load_params, save_params
-from pointpair.net.unet import UNet, UNetConfig, commit_bn_stats, relu_masks
+from pointpair.net.unet import COMPUTE_DTYPE, UNet, UNetConfig, commit_bn_stats, relu_masks
 from pointpair.verify import random_coords, tiny_unet_config
 from pointpair.voxel import SparseVoxelTensor, quantize
 
@@ -50,15 +51,23 @@ class TestForward:
         assert out.origin_map is inp.origin_map and out.first_points is inp.first_points
 
     def test_permutation_equivariance(self, rng):
+        self._check_permutation_equivariance(rng, np.float64, atol=1e-9)
+
+    def test_permutation_equivariance_float32(self, rng):
+        # a permuted row order changes float32 rounding by a few 1e-6
+        self._check_permutation_equivariance(rng, np.float32, atol=1e-5)
+
+    @staticmethod
+    def _check_permutation_equivariance(rng, dtype, atol):
         cfg = tiny_unet_config()
         unet = UNet(cfg)
         params = unet.init_params(3)
         inp = _input(rng, 80, cfg.in_dim)
-        out, _ = unet.forward(inp, params, "train")
+        out, _ = unet.forward(inp, params, "train", dtype=dtype)
         perm = rng.permutation(80)
         shuffled = SparseVoxelTensor(inp.coords[perm], inp.features[perm], inp.voxel_size)
-        out_p, _ = unet.forward(shuffled, params, "train")
-        np.testing.assert_allclose(out_p.features, out.features[perm], atol=1e-9)
+        out_p, _ = unet.forward(shuffled, params, "train", dtype=dtype)
+        np.testing.assert_allclose(out_p.features, out.features[perm], atol=atol)
 
     def test_eval_mode_is_deterministic_and_stateless(self, rng):
         cfg = tiny_unet_config()
@@ -124,6 +133,69 @@ class TestForward:
         unet.backward(tape, np.zeros_like(out.features))
         with pytest.raises(RuntimeError):
             unet.backward(tape, np.zeros_like(out.features))
+
+
+def _float_arrays(tape):
+    """Every floating array a unit or head tape holds, found by walking its fields."""
+    if isinstance(tape, np.ndarray):
+        if np.issubdtype(tape.dtype, np.floating):
+            yield tape
+    elif dataclasses.is_dataclass(tape):
+        for f in dataclasses.fields(tape):
+            yield from _float_arrays(getattr(tape, f.name))
+
+
+class TestComputeDtype:
+    """The network computes in float32 on float64 master weights; numpy
+    promotes silently, so the dtype of every recorded array is pinned."""
+
+    def _tape_arrays(self, rng, dtype=None):
+        cfg = tiny_unet_config()
+        unet = UNet(cfg)
+        kwargs = {} if dtype is None else {"dtype": dtype}
+        _, tape = unet.forward(_input(rng, 90, cfg.in_dim), unet.init_params(0), "train", **kwargs)
+        arrays = [a for t in [*tape.units.values(), tape.head] for a in _float_arrays(t)]
+        arrays += [a for _, _, stats in tape.bn_stats for a in _float_arrays(stats)]
+        assert len(arrays) > 50  # conv inputs and kernels, BN arrays and stats
+        return arrays
+
+    def test_default_train_tape_is_float32(self, rng):
+        assert COMPUTE_DTYPE == np.float32
+        assert {a.dtype for a in self._tape_arrays(rng)} == {np.dtype(np.float32)}
+
+    def test_float64_train_tape_is_float64(self, rng):
+        assert {a.dtype for a in self._tape_arrays(rng, np.float64)} == {np.dtype(np.float64)}
+
+    def test_backward_gives_float64_grads_and_leaves_params(self, rng):
+        cfg = tiny_unet_config()
+        unet = UNet(cfg)
+        params = unet.init_params(2)
+        digest = params.digest()
+        inp = _input(rng, 70, cfg.in_dim)
+        out, tape = unet.forward(inp, params, "train")
+        assert out.features.dtype == np.float64
+        d_out = rng.standard_normal(out.features.shape)
+        grads, _ = unet.backward(tape, d_out)
+        assert {g.dtype for g in grads.tensors.values()} == {np.dtype(np.float64)}
+        assert {t.dtype for t in params.tensors.values()} == {np.dtype(np.float64)}
+        assert params.digest() == digest
+        # the float64 loss gradient enters the float32 backward cast, not promoting it
+        _, tape = unet.forward(inp, params, "train")
+        grads32, _ = unet.backward(tape, d_out.astype(np.float32))
+        assert grads32.digest() == grads.digest()
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_float32_forward_tracks_float64(self, rng, mode):
+        cfg = tiny_unet_config()
+        unet = UNet(cfg)
+        params = unet.init_params(4)
+        inp = _input(rng, 200, cfg.in_dim)
+        _, tape = unet.forward(inp, params, "train", dtype=np.float64)
+        commit_bn_stats(params, tape.bn_stats, 0.5)  # eval mode reads moved running statistics
+        f64, _ = unet.forward(inp, params, mode, dtype=np.float64)
+        f32, _ = unet.forward(inp, params, mode)
+        scale = np.abs(f64.features).max()
+        assert np.abs(f32.features - f64.features).max() <= 1e-5 * scale
 
 
 def _bn(prefix, c):
