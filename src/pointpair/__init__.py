@@ -11,10 +11,9 @@ from .geometry import (
     apply_transform,
     brute_force_nearest,
     build_index,
-    nearest,
     rotation_about_axis,
 )
-from .voxel import SparseVoxelTensor, devoxelize, quantize, voxel_hash_lookup
+from .voxel import SparseVoxelTensor, quantize
 from .frames import DepthFrame, SyntheticSceneSpec, backproject, synthesize_scene
 from .pairs import (
     CorrespondenceMap,
@@ -34,7 +33,7 @@ from .losses import (
     subsample_matches,
 )
 from .net import ParameterSet, GradientSet, UNet, UNetConfig
-from .train import TrainConfig, OptimizerState, TrainLogRecord, poly_lr, sgd_step, train, train_step
+from .train import TrainConfig, OptimizerState, TrainLogRecord, poly_lr, sgd_step, train
 from .evaluate import FmrConfig, feature_match_recall, hit_ratio
 
 __all__ = [
@@ -44,13 +43,10 @@ __all__ = [
     "NeighborIndex",
     "apply_transform",
     "build_index",
-    "nearest",
     "brute_force_nearest",
     "rotation_about_axis",
     "SparseVoxelTensor",
     "quantize",
-    "devoxelize",
-    "voxel_hash_lookup",
     "DepthFrame",
     "SyntheticSceneSpec",
     "backproject",
@@ -79,7 +75,6 @@ __all__ = [
     "poly_lr",
     "sgd_step",
     "train",
-    "train_step",
     "FmrConfig",
     "hit_ratio",
     "feature_match_recall",

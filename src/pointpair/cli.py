@@ -12,11 +12,12 @@ Subcommands:
 Every run writes a manifest.json into its output directory before doing any
 work; it records the environment the run's numbers depend on (Python, numpy,
 platform, BLAS build, BLAS thread settings and the network's compute dtype).
-A missing input path (`--frames`, `--pairs`, `--resume`, `--checkpoint`) is
-a validation error raised before the output directory is created.  Every
-output file is written through `errors.file_stream`: to a temporary name
-that is renamed over the target on completion, and removed if the write
-fails, so a file is either whole or absent.  Exit codes:
+A missing input path (`--frames`, `--pairs`, `--resume`, `--checkpoint`), an
+input directory without a frame or pair file, and a flag or config value out
+of range are validation errors raised before the output directory is
+created.  Every output file is written through `errors.file_stream`: to a
+temporary name that is renamed over the target on completion, and removed if
+the write fails, so a file is either whole or absent.  Exit codes:
 0 success, 1 validation error, 2 runtime failure.
 An unexpected failure (a bug, not a bad input) also leaves its traceback:
 in `traceback.txt` inside the command's `--out` directory when it exists,
@@ -48,7 +49,7 @@ from .evaluate import (
 from .frames import SyntheticSceneSpec, read_frame, synthesize_scene, write_frame
 from .net.unet import COMPUTE_DTYPE, UNet
 from .pairs import DEFAULT_MATCH_RADIUS, DEFAULT_OVERLAP_THRESHOLD, DEFAULT_STRIDE, DEFAULT_VOXEL_SIZE
-from .pairs import generate_pairs, read_pair, write_pair
+from .pairs import check_pair_params, generate_pairs, read_pair, write_pair
 from .train import TrainConfig, load_checkpoint, train
 from .verify import run_suite
 
@@ -80,6 +81,17 @@ def _require_input(flag: str, path: str, directory: bool) -> None:
     `_write_manifest`, so that a bad path leaves no output directory."""
     if not (os.path.isdir(path) if directory else os.path.isfile(path)):
         raise ConfigError(f"{flag}: no such {'directory' if directory else 'file'} '{path}'")
+
+
+def _input_files(flag: str, directory: str, suffix: str) -> list[str]:
+    """Sorted names of the `suffix` files in the input directory `directory`;
+    a missing directory or one without such a file is a validation error.
+    Call before `_write_manifest`."""
+    _require_input(flag, directory, directory=True)
+    names = sorted(f for f in os.listdir(directory) if f.endswith(suffix))
+    if not names:
+        raise ConfigError(f"{flag}: no {suffix} files in '{directory}'")
+    return names
 
 
 def _write_manifest(out_dir: str, command: str, config_echo: dict, seed, artifacts: list[str]) -> None:
@@ -120,12 +132,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_pairgen(args) -> int:
-    _require_input("--frames", args.frames, directory=True)
-    frame_files = sorted(
-        f for f in os.listdir(args.frames) if f.endswith(".pcfd")
-    )
-    if not frame_files:
-        raise ConfigError(f"no .pcfd frames found in '{args.frames}'")
+    check_pair_params(args.stride, args.threshold, args.radius, args.voxel_size)
+    frame_files = _input_files("--frames", args.frames, ".pcfd")
     if os.path.isdir(args.out) and any(f.endswith(".pcpr") for f in os.listdir(args.out)):
         raise ConfigError(f"'{args.out}' already holds pair files; pairgen needs an --out without them")
     config_echo = {
@@ -151,10 +159,7 @@ def cmd_pairgen(args) -> int:
     return 0
 
 
-def _load_pairs(pairs_dir: str):
-    files = sorted(f for f in os.listdir(pairs_dir) if f.endswith(".pcpr"))
-    if not files:
-        raise ConfigError(f"no .pcpr pairs found in '{pairs_dir}'")
+def _load_pairs(pairs_dir: str, files: list[str]):
     return [read_pair(os.path.join(pairs_dir, f), scene_id=f) for f in files]
 
 
@@ -162,12 +167,12 @@ def cmd_pretrain(args) -> int:
     cfg = load_train_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    _require_input("--pairs", args.pairs, directory=True)
     if args.resume is not None:
         _require_input("--resume", args.resume, directory=False)
+    pair_files = _input_files("--pairs", args.pairs, ".pcpr")
     artifacts = ["checkpoint_final.ckpt", "train_log.csv"]
     _write_manifest(args.out, "pretrain", cfg.to_dict(), cfg.seed, artifacts)
-    corpus = _load_pairs(args.pairs)
+    corpus = _load_pairs(args.pairs, pair_files)
     result = train(corpus, cfg, out_dir=args.out, resume=args.resume)
     final = result.records[-1].loss if result.records else float("nan")
     print(
@@ -182,7 +187,7 @@ def cmd_eval(args) -> int:
     _require_input("--checkpoint", args.checkpoint, directory=False)
     params, echo, _ = load_checkpoint(args.checkpoint)
     cfg = TrainConfig.from_dict(echo)
-    _require_input("--pairs", args.pairs, directory=True)
+    pair_files = _input_files("--pairs", args.pairs, ".pcpr")
     unet_cfg, voxel_size, normalize = cfg.unet, cfg.voxel_size, cfg.loss.normalize_features
     config_echo = {
         "checkpoint": args.checkpoint,
@@ -193,7 +198,7 @@ def cmd_eval(args) -> int:
         "voxel_size": voxel_size,
     }
     _write_manifest(args.out, "eval", config_echo, None, ["eval_pairs.csv", "eval_summary.json"])
-    pairs = _load_pairs(args.pairs)
+    pairs = _load_pairs(args.pairs, pair_files)
     ids = [p.scene_id for p in pairs]
     if args.features == "model":
         fn = model_feature_fn(params, unet_cfg, voxel_size, normalize)

@@ -20,6 +20,7 @@ from .errors import EmptyViewError, FormatError, file_stream, invalid_content, r
 from .geometry import PointCloud, check_rotation
 
 _FRAME_MAGIC = b"PCFD"
+_NEAR_CLIP = 0.05  # meters: the renderer drops surface points closer to the camera
 
 
 @dataclass(frozen=True)
@@ -131,12 +132,28 @@ class SyntheticSceneSpec(ConfigMixin):
     max_depth: float = 12.0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.n_boxes < 0 or self.n_planes < 0:
             raise ValueError("primitive counts must be non-negative")
         if self.n_boxes + self.n_planes == 0:
             raise ValueError("scene must contain at least one primitive")
+        if not min(self.room_size) > 0:
+            raise ValueError("room_size must be positive along every axis")
+        for key in ("box_extent", "plane_extent"):
+            lo, hi = getattr(self, key)
+            if not 0 < lo <= hi:
+                raise ValueError(f"{key} must satisfy 0 < min <= max")
+        if self.box_extent[1] > min(self.room_size):
+            raise ValueError("box_extent max must fit inside room_size along every axis")
         if self.density <= 0 or self.n_cameras < 1:
             raise ValueError("density must be positive and n_cameras >= 1")
+        if self.image_width < 1 or self.image_height < 1:
+            raise ValueError("image_width and image_height must be >= 1")
+        if not self.focal > 0:
+            raise ValueError("focal must be positive")
+        if not self.max_depth > _NEAR_CLIP:
+            raise ValueError(f"max_depth must exceed the {_NEAR_CLIP} m near clip")
 
 
 def _sample_rect(rng, origin, e1, e2, density):
@@ -240,7 +257,7 @@ def render_depth(points: np.ndarray, pose: np.ndarray, spec: SyntheticSceneSpec)
     tr = pose[:3, 3]
     cam = (points - tr) @ rot  # world -> camera (rot columns are camera axes)
     z = cam[:, 2]
-    valid = (z > 0.05) & (z < spec.max_depth)
+    valid = (z > _NEAR_CLIP) & (z < spec.max_depth)
     cam = cam[valid]
     z = z[valid]
     u = np.rint(spec.focal * cam[:, 0] / z + cx).astype(np.int64)

@@ -337,10 +337,3 @@ def build_index(pc: PointCloud, radius: float) -> NeighborIndex:
     """Build a `NeighborIndex` over `pc` for queries within `radius` (pure:
     equal clouds and radii give equal answers)."""
     return NeighborIndex(pc, radius)
-
-
-def nearest(idx: NeighborIndex, query) -> tuple[int, float]:
-    """Nearest reference point within the index radius of one `query`, or
-    (-1, inf); ties go to the lowest index."""
-    i, d = idx.nearest_many(np.reshape(query, (1, 3)))
-    return int(i[0]), float(d[0])

@@ -46,14 +46,8 @@ class ParameterSet:
     def __setitem__(self, name: str, value: np.ndarray) -> None:
         self.tensors[name] = np.asarray(value, dtype=np.float64)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.tensors
-
     def names(self) -> list[str]:
         return sorted(self.tensors)
-
-    def copy(self) -> "ParameterSet":
-        return ParameterSet({k: v.copy() for k, v in self.tensors.items()})
 
     def validate_finite(self) -> None:
         for name, t in self.tensors.items():

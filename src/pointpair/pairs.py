@@ -19,6 +19,7 @@ Pair file layout (little-endian):
 from __future__ import annotations
 
 import logging
+import math
 import struct
 from dataclasses import dataclass
 
@@ -120,6 +121,18 @@ def subsample_view(pc: PointCloud, voxel_size: float) -> PointCloud:
     return PointCloud(pc.points[t.first_points], t.features if pc.features is not None else None)
 
 
+def check_pair_params(stride: int, overlap_threshold: float, radius: float, voxel_size: float) -> None:
+    """Raise ValueError when a `generate_pairs` argument is out of range."""
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    if not 0.0 < overlap_threshold <= 1.0:
+        raise ValueError("overlap_threshold must lie in (0, 1]")
+    if not 0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
+    if not 0 < voxel_size < math.inf:
+        raise ValueError("voxel_size must be positive and finite")
+
+
 def generate_pairs(
     frames: list[DepthFrame],
     stride: int = DEFAULT_STRIDE,
@@ -135,12 +148,7 @@ def generate_pairs(
     with no valid pixels are skipped with a warning.  Output order is
     canonical: ascending (frame index a, frame index b) with a < b.
     """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    if not 0.0 < overlap_threshold <= 1.0:
-        raise ValueError("overlap_threshold must lie in (0, 1]")
-    if not radius > 0:
-        raise ValueError("radius must be positive")
+    check_pair_params(stride, overlap_threshold, radius, voxel_size)
     views: list[tuple[int, PointCloud]] = []
     for fi in range(0, len(frames), stride):
         try:
@@ -170,8 +178,8 @@ def generate_pairs(
 def write_pair(pair: ScenePair, target) -> None:
     blob = bytearray()
     blob += _PAIR_MAGIC
-    blob += ply_bytes(pair.x1, binary=True)
-    blob += ply_bytes(pair.x2, binary=True)
+    blob += ply_bytes(pair.x1)
+    blob += ply_bytes(pair.x2)
     m = pair.correspondences.matches
     blob += struct.pack("<Q", m.shape[0])
     blob += m.astype("<u4").tobytes()

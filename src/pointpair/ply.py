@@ -1,6 +1,7 @@
 """PLY reader/writer for point clouds.
 
-Supports ASCII and binary little-endian PLY with a single ``vertex`` element.
+Binary little-endian PLY with a single ``vertex`` element; any other format
+is rejected with FormatError.
 Coordinates are stored as 32-bit floats under properties ``x``, ``y``, ``z``;
 optional per-point features are stored as 32-bit floats under ``f0``..``f{D-1}``.
 Writing round-trips through float32, so float64 inputs lose precision.
@@ -19,11 +20,10 @@ _FLOAT_NAMES = {"float", "float32"}
 _MIN_FIELDS = {"format": 2, "element": 3, "property": 3}  # header keyword -> fields read
 
 
-def _header_lines(n_points: int, feature_dim: int, binary: bool) -> list[str]:
-    fmt = "binary_little_endian" if binary else "ascii"
+def _header_lines(n_points: int, feature_dim: int) -> list[str]:
     lines = [
         "ply",
-        f"format {fmt} 1.0",
+        "format binary_little_endian 1.0",
         f"element vertex {n_points}",
         "property float x",
         "property float y",
@@ -35,20 +35,16 @@ def _header_lines(n_points: int, feature_dim: int, binary: bool) -> list[str]:
     return lines
 
 
-def write_ply(pc: PointCloud, target, binary: bool = True) -> None:
+def write_ply(pc: PointCloud, target) -> None:
     """Write `pc` to `target` (a path or a binary file object)."""
     dim = pc.feature_dim or 0
     rows = pc.points.astype(np.float32)
     if dim:
         rows = np.hstack([rows, pc.features.astype(np.float32)])
-    header = "\n".join(_header_lines(len(pc), dim, binary)) + "\n"
+    header = "\n".join(_header_lines(len(pc), dim)) + "\n"
     with file_stream(target, "wb") as fh:
         fh.write(header.encode("ascii"))
-        if binary:
-            fh.write(rows.astype("<f4").tobytes())
-        else:
-            for row in rows:
-                fh.write((" ".join(f"{v:.9g}" for v in row) + "\n").encode("ascii"))
+        fh.write(rows.astype("<f4").tobytes())
 
 
 def read_ply(source) -> PointCloud:
@@ -73,13 +69,13 @@ def _read_line(fh) -> str:
     try:
         return buf.decode("ascii").strip()
     except UnicodeDecodeError:
-        raise FormatError("non-ASCII byte in PLY text") from None
+        raise FormatError("non-ASCII byte in PLY header") from None
 
 
 def _read_ply_stream(fh) -> PointCloud:
     if _read_line(fh) != "ply":
         raise FormatError("missing 'ply' magic line")
-    binary = None
+    has_format = False
     n_points = None
     props: list[str] = []
     in_vertex = False
@@ -93,12 +89,9 @@ def _read_ply_stream(fh) -> PointCloud:
         if len(parts) < _MIN_FIELDS.get(parts[0], 1):
             raise FormatError(f"PLY header line '{line}' has too few fields")
         if parts[0] == "format":
-            if parts[1] == "ascii":
-                binary = False
-            elif parts[1] == "binary_little_endian":
-                binary = True
-            else:
+            if parts[1] != "binary_little_endian":
                 raise FormatError(f"unsupported PLY format '{parts[1]}'")
+            has_format = True
         elif parts[0] == "element":
             if parts[1] == "vertex":
                 try:
@@ -116,7 +109,7 @@ def _read_ply_stream(fh) -> PointCloud:
             if parts[1] not in _FLOAT_NAMES:
                 raise FormatError(f"unsupported property type '{parts[1]}'")
             props.append(parts[2])
-    if binary is None or n_points is None:
+    if not has_format or n_points is None:
         raise FormatError("PLY header missing format or vertex element")
     if props[:3] != ["x", "y", "z"]:
         raise FormatError(f"vertex properties must start with x, y, z; got {props[:3]}")
@@ -125,28 +118,15 @@ def _read_ply_stream(fh) -> PointCloud:
         raise FormatError(f"feature properties must be f0..f{{D-1}}; got {props[3:]}")
 
     width = len(props)
-    if binary:
-        raw = read_exact(fh, 4 * width * n_points, "PLY payload")
-        rows = np.frombuffer(raw, dtype="<f4").reshape(n_points, width)
-    else:
-        values = []  # grown row by row: a corrupt vertex count allocates nothing
-        for i in range(n_points):
-            vals = _read_line(fh).split()
-            if len(vals) != width:
-                raise FormatError(f"vertex row {i} has {len(vals)} values, expected {width}")
-            try:
-                values.append([float(v) for v in vals])
-            except ValueError:
-                raise FormatError(f"vertex row {i} holds a non-numeric value") from None
-        with np.errstate(over="ignore"):  # beyond float32 range: inf, rejected by PointCloud below
-            rows = np.array(values, dtype=np.float32).reshape(n_points, width)
+    raw = read_exact(fh, 4 * width * n_points, "PLY payload")
+    rows = np.frombuffer(raw, dtype="<f4").reshape(n_points, width)
     points = rows[:, :3].astype(np.float64)
     features = rows[:, 3:].astype(np.float64) if width > 3 else None
     with invalid_content("PLY point cloud"):
         return PointCloud(points, features)
 
 
-def ply_bytes(pc: PointCloud, binary: bool = True) -> bytes:
+def ply_bytes(pc: PointCloud) -> bytes:
     buf = io.BytesIO()
-    write_ply(pc, buf, binary)
+    write_ply(pc, buf)
     return buf.getvalue()

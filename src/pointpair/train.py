@@ -96,6 +96,10 @@ class TrainConfig(ConfigMixin):
             raise ValueError("momentum must lie in [0, 1)")
         if not self.weight_decay >= 0:
             raise ValueError("weight_decay must be non-negative")
+        if not self.voxel_size > 0:
+            raise ValueError("voxel_size must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.grad_accum < 1:
             raise ValueError("grad_accum must be >= 1")
         if self.checkpoint_every < 0:
@@ -267,35 +271,6 @@ def forward_backward(
     return StepOutcome(loss, collapse, grads, bn_stats)
 
 
-def train_step(
-    pair: ScenePair,
-    params: ParameterSet,
-    state: OptimizerState,
-    cfg: TrainConfig,
-    unet: UNet,
-    rng: np.random.Generator,
-) -> TrainLogRecord:
-    """One full optimization step on one pair (both views share `params`)."""
-    t0 = time.perf_counter()
-    outcome = forward_backward(pair, params, cfg, unet, rng)
-    return _optimizer_step(
-        params, outcome.grads, outcome.bn_stats, state, cfg, outcome.loss, outcome.collapse, t0
-    )
-
-
-def _optimizer_step(params, grads, bn_stats, state, cfg, loss, collapse, t0) -> TrainLogRecord:
-    """The post-backward work of one step: fold the forward passes' BN batch
-    statistics in, take the SGD step at the scheduled rate, advance the
-    iteration and return its log record (`t0` is the step's start time)."""
-    commit_bn_stats(params, bn_stats, cfg.unet.bn_momentum)
-    it = state.iteration
-    lr = poly_lr(it, cfg)
-    sgd_step(params, grads, state, lr, cfg.momentum, cfg.weight_decay)
-    state.iteration = it + 1
-    millis = int((time.perf_counter() - t0) * 1000)
-    return TrainLogRecord(it, lr, loss, collapse, millis)
-
-
 @dataclass
 class TrainResult:
     params: ParameterSet
@@ -392,9 +367,11 @@ def train(
             for t in total.tensors.values():
                 t *= cfg.grad_accum / produced
         if produced:
-            records.append(_optimizer_step(
-                params, total, bn_stats, state, cfg, loss_sum / produced, collapse_sum / produced, t0
-            ))
+            commit_bn_stats(params, bn_stats, cfg.unet.bn_momentum)
+            lr = poly_lr(it, cfg)
+            sgd_step(params, total, state, lr, cfg.momentum, cfg.weight_decay)
+            millis = int((time.perf_counter() - t0) * 1000)
+            records.append(TrainLogRecord(it, lr, loss_sum / produced, collapse_sum / produced, millis))
         state.iteration = it + 1
         if out_dir and cfg.checkpoint_every and (it + 1) % cfg.checkpoint_every == 0:
             save_checkpoint(

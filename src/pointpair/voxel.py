@@ -1,4 +1,4 @@
-"""Sparse voxel tensors: quantization, sorted-key coordinate lookup, devoxelization.
+"""Sparse voxel tensors: quantization and sorted-key coordinate lookup.
 
 Voxel coordinates are ``floor(p / voxel_size)`` componentwise.  When several
 points share a voxel, the voxel keeps the feature row of the lowest-index
@@ -154,20 +154,6 @@ def quantize(pc: PointCloud, voxel_size: float) -> SparseVoxelTensor:
     else:
         feats = np.ones((first_idx.shape[0], 1), dtype=np.float64)
     return SparseVoxelTensor(coords, feats, float(voxel_size), inverse.astype(np.int64), first_idx)
-
-
-def devoxelize(t: SparseVoxelTensor) -> np.ndarray:
-    """Per-original-point feature matrix: row i is feature row origin_map[i]."""
-    if t.origin_map is None:
-        raise ValueError("tensor has no origin_map; cannot devoxelize")
-    return t.features[t.origin_map]
-
-
-def voxel_hash_lookup(t: SparseVoxelTensor, coord) -> int | None:
-    """Row index of `coord` in the tensor, or None when absent.  Builds the
-    tensor's lookup for this call."""
-    row = VoxelHashMap(t.coords).lookup(np.asarray(coord, dtype=np.int64).reshape(1, 3))[0]
-    return None if row < 0 else int(row)
 
 
 def collapse_matches_to_voxels(

@@ -9,7 +9,7 @@ import pytest
 from pointpair import cli
 from pointpair.augment import AugmentationConfig
 from pointpair.errors import FormatError
-from pointpair.frames import SyntheticSceneSpec, read_frame
+from pointpair.frames import DepthFrame, SyntheticSceneSpec, read_frame, write_frame
 from pointpair.geometry import PointCloud
 from pointpair.losses import LossConfig
 from pointpair.net import layers
@@ -79,6 +79,8 @@ class TestStrictIni:
         ("train", "lr_power", "nan"),
         ("train", "lr_power", "-1"),
         ("train", "checkpoint_every", "-1"),
+        ("train", "voxel_size", "0.0"),
+        ("train", "seed", "-1"),
         ("unet", "bn_momentum", "nan"),
         ("unet", "bn_momentum", "1.5"),
         ("unet", "bn_epsilon", "-1"),
@@ -87,6 +89,15 @@ class TestStrictIni:
         ("loss", "neg_exclude_radius", "inf"),
         ("scene", "density", "nan"),
         ("scene", "room_size", "4.0,inf,2.4"),
+        ("scene", "seed", "-1"),
+        ("scene", "focal", "0.0"),
+        ("scene", "room_size", "4.0,-4.0,2.4"),
+        ("scene", "image_height", "-2"),
+        ("scene", "image_width", "0"),
+        ("scene", "max_depth", "-1.0"),
+        ("scene", "box_extent", "1.2,0.4"),
+        ("scene", "box_extent", "2.0,5.0"),
+        ("scene", "plane_extent", "2.5,1.0"),
     ])
     def test_bad_values_exit_1_before_the_out_dir(self, workdir, capsys, section, key, raw):
         if section == "scene":
@@ -224,6 +235,22 @@ class TestPairgen:
         after = {f: (workdir / "pairs" / f).read_bytes() for f in os.listdir("pairs")}
         assert after == before  # pair files and manifest untouched
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--stride", "0", "stride"),
+        ("--threshold", "0", "overlap_threshold"),
+        ("--radius", "0", "radius"),
+        ("--radius", "-1", "radius"),
+        ("--radius", "inf", "radius"),
+        ("--voxel-size", "0", "voxel_size"),
+        ("--voxel-size", "inf", "voxel_size"),
+    ])
+    def test_bad_pairgen_flag_exits_1_before_the_out_dir(self, workdir, capsys, flag, value, name):
+        os.mkdir("frames")
+        write_frame(DepthFrame(np.ones((2, 2)), 1.0, 1.0, 0.5, 0.5, np.eye(4)), "frames/f.pcfd")
+        assert cli.main(["pairgen", "--frames", "frames", "--out", "out", flag, value]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {name} must ")
+        assert not os.path.exists(workdir / "out")
+
 
 class TestPretrainEval:
     @pytest.fixture()
@@ -317,28 +344,34 @@ HUGE_HEADERS = {
 
 
 class TestMissingInputPath:
-    """A missing input path is a validation error (exit 1) that names the flag
-    and the path, raised before the --out directory is created."""
+    """A missing input path, or an input directory without input files, is a
+    validation error (exit 1) that names the flag and the path, raised before
+    the --out directory is created."""
 
-    @pytest.mark.parametrize("flag, argv", [
-        ("--frames", ["pairgen", "--frames", "nowhere", "--out", "out"]),
-        ("--pairs", ["pretrain", "--pairs", "nowhere", "--config", "c.ini", "--out", "out"]),
-        ("--resume", ["pretrain", "--pairs", "empty", "--config", "c.ini", "--out", "out",
-                      "--resume", "run/checkpoint_0002.ckpt"]),
-        ("--checkpoint", ["eval", "--checkpoint", "nowhere.ckpt", "--pairs", "empty", "--out", "out"]),
-        ("--pairs", ["eval", "--checkpoint", "run.ckpt", "--pairs", "nowhere", "--out", "out"]),
-    ], ids=["pairgen", "pretrain-pairs", "pretrain-resume", "eval-checkpoint", "eval-pairs"])
-    def test_exits_1_before_the_out_dir(self, workdir, capsys, flag, argv):
+    @pytest.mark.parametrize("flag, message, argv", [
+        ("--frames", "no such directory", ["pairgen", "--frames", "nowhere", "--out", "out"]),
+        ("--pairs", "no such directory", ["pretrain", "--pairs", "nowhere", "--config", "c.ini", "--out", "out"]),
+        ("--resume", "no such file", ["pretrain", "--pairs", "empty", "--config", "c.ini", "--out", "out",
+                                      "--resume", "run/checkpoint_0002.ckpt"]),
+        ("--checkpoint", "no such file", ["eval", "--checkpoint", "nowhere.ckpt", "--pairs", "empty",
+                                          "--out", "out"]),
+        ("--pairs", "no such directory", ["eval", "--checkpoint", "run.ckpt", "--pairs", "nowhere", "--out", "out"]),
+        ("--frames", "no .pcfd files in", ["pairgen", "--frames", "empty", "--out", "out"]),
+        ("--pairs", "no .pcpr files in", ["pretrain", "--pairs", "empty", "--config", "c.ini", "--out", "out"]),
+        ("--pairs", "no .pcpr files in", ["eval", "--checkpoint", "run.ckpt", "--pairs", "empty", "--out", "out"]),
+    ], ids=["pairgen", "pretrain-pairs", "pretrain-resume", "eval-checkpoint", "eval-pairs",
+            "pairgen-empty", "pretrain-empty", "eval-empty"])
+    def test_exits_1_before_the_out_dir(self, workdir, capsys, flag, message, argv):
         _write_train(workdir / "c.ini")
         (workdir / "empty").mkdir()
+        (workdir / "empty" / "notes.txt").write_text("no frame or pair file\n")
         cfg = TrainConfig.from_ini("c.ini", "train")
         params = UNet(cfg.unet).init_params(0)
         save_checkpoint("run.ckpt", params, cfg.to_dict(), OptimizerState.zeros(params))
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {flag}: no such ") and repr(argv[argv.index(flag) + 1]) in err
+        assert err.startswith(f"error: {flag}: {message} ") and repr(argv[argv.index(flag) + 1]) in err
         assert not os.path.exists(workdir / "out")
-
 
 class TestHugeHeaderCounts:
     @pytest.mark.parametrize("kind", sorted(HUGE_HEADERS))

@@ -70,8 +70,8 @@ def _read_checkpoint(blob: bytes):
 READERS = {
     "frame": (lambda blob: read_frame(io.BytesIO(blob)), _frame_bytes()),
     "pair": (lambda blob: read_pair(io.BytesIO(blob)), _pair_bytes()),
-    "ply": (lambda blob: read_ply(io.BytesIO(blob)), ply_bytes(PointCloud(np.eye(3)), binary=True)),
-    "ply_ascii": (lambda blob: read_ply(io.BytesIO(blob)), ply_bytes(PointCloud(np.eye(3), np.ones((3, 2))), binary=False)),
+    "ply": (lambda blob: read_ply(io.BytesIO(blob)), ply_bytes(PointCloud(np.eye(3)))),
+    "ply_features": (lambda blob: read_ply(io.BytesIO(blob)), ply_bytes(PointCloud(np.eye(3), np.ones((3, 2))))),
     "params": (lambda blob: load_params(io.BytesIO(blob)), _params_bytes()),
     "checkpoint": (_read_checkpoint, _checkpoint_bytes()),
 }
@@ -101,7 +101,7 @@ def _tensor(dims, payload: bytes = b"") -> bytes:
 
 
 _FRAME = _frame_bytes()
-_PLY = ply_bytes(PointCloud(np.eye(3)), binary=True)
+_PLY = ply_bytes(PointCloud(np.eye(3)))
 _NAN_F4 = np.array([np.nan], dtype="<f4").tobytes()
 
 # Well-formed layouts whose values the types reject: each raised ValueError
@@ -114,8 +114,6 @@ INVALID_CONTENT = {
     "pair_overlap_above_one": ("pair", b"PCPR" + _PLY + _PLY + struct.pack("<Q2Id", 1, 0, 0, 2.0)),
     "ply_no_vertices": ("ply", _ply_header(0)),
     "ply_nan_coordinate": ("ply", _ply_header(1) + _NAN_F4 + bytes(8)),
-    "ply_ascii_inf": ("ply", _ply_header(1).replace(b"binary_little_endian", b"ascii") + b"1e99 0 0\n"),
-    "ply_ascii_beyond_float32": ("ply", _ply_header(1).replace(b"binary_little_endian", b"ascii") + b"0 3.5e38 0\n"),
     "params_zero_and_huge_dims": ("params", _params_blob(b"{}", _tensor((2**57, 2**57, 0)))),
     "params_nan_value": ("params", _params_blob(b"{}", _tensor((1,), struct.pack("<d", np.nan)))),
     "params_deeply_nested_json": ("params", _params_blob(b"[" * 100_000, b"")),

@@ -17,7 +17,6 @@ from pointpair.geometry import (
     apply_transform,
     brute_force_nearest,
     build_index,
-    nearest,
     rotation_about_axis,
 )
 from pointpair.ply import read_ply, write_ply
@@ -110,9 +109,8 @@ class TestNeighborIndex:
     # gives the unbounded nearest neighbour
     def test_single_point_cloud(self, rng):
         idx = build_index(PointCloud(np.array([[1.0, 2.0, 3.0]])), 20.0)
-        for _ in range(5):
-            i, _ = nearest(idx, rng.uniform(-5, 5, 3))
-            assert i == 0
+        found, _ = idx.nearest_many(rng.uniform(-5, 5, (5, 3)))
+        np.testing.assert_array_equal(found, np.zeros(5))
 
     def test_self_queries_have_zero_distance(self, rng):
         pts = rng.uniform(-1, 1, (200, 3))
@@ -125,16 +123,17 @@ class TestNeighborIndex:
         pts = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [-2.0, 0.0, 0.0]])
         idx = build_index(PointCloud(pts), 20.0)
         # query at x=... equidistant to rows 1 and 2; also equidistant duplicates
-        i, d = nearest(idx, [0.0, 5.0, 0.0])
-        assert i == 0
+        found, _ = idx.nearest_many([0.0, 5.0, 0.0])
+        assert found[0] == 0
         dup = np.array([[1.0, 1.0, 1.0]] * 4)
         idx2 = build_index(PointCloud(dup), 20.0)
-        i, d = nearest(idx2, [9.0, 9.0, 9.0])
-        assert i == 0
+        found, _ = idx2.nearest_many([9.0, 9.0, 9.0])
+        assert found[0] == 0
         # equidistant points in different cells, the lower index in the higher cell
         for radius in (2.0, 2.5, 20.0):
             mirrored = build_index(PointCloud(np.array([[2.0, 0.0, 0.0], [-2.0, 0.0, 0.0]])), radius)
-            assert nearest(mirrored, [0.0, 0.0, 0.0]) == (0, 2.0)
+            found, dist = mirrored.nearest_many([0.0, 0.0, 0.0])
+            assert (found[0], dist[0]) == (0, 2.0)
 
     def test_matches_brute_force_exactly(self, rng):
         # radius above the largest query distance (sqrt(3) * 6.5): same index
@@ -143,9 +142,9 @@ class TestNeighborIndex:
             n = int(rng.integers(1, 2000))
             pc = PointCloud(rng.uniform(-3, 3, (n, 3)))
             idx = build_index(pc, 12.0)
-            for _ in range(30):
-                q = rng.uniform(-3.5, 3.5, 3)
-                assert nearest(idx, q) == brute_force_nearest(pc, q)
+            queries = rng.uniform(-3.5, 3.5, (30, 3))
+            found, dist = idx.nearest_many(queries)
+            assert list(zip(found.tolist(), dist.tolist())) == [brute_force_nearest(pc, q) for q in queries]
 
     def test_build_is_pure(self, rng):
         pc = PointCloud(rng.uniform(-1, 1, (300, 3)))
@@ -200,13 +199,16 @@ class TestRadiusBoundedSearch:
         # a point on a cell edge and a query just below zero: the distance
         # rounds to exactly the radius, and the two sit two edges apart
         edge = PointCloud(np.array([[0.05, 0.0, 0.0]]))
-        assert nearest(build_index(edge, 0.05), [-1e-18, 0.0, 0.0]) == (0, 0.05)
+        found, dist = build_index(edge, 0.05).nearest_many([-1e-18, 0.0, 0.0])
+        assert (found[0], dist[0]) == (0, 0.05)
         base = np.array([[0.5, 0.25, -0.75]]) + offset
         for delta in ([0.25, 0.0, 0.0], [0.0, 0.0, -0.25], [0.3, 0.4, 0.0], [0.1, -0.2, 0.3]):
             q = base + np.array(delta)
             _, d = brute_force_nearest(PointCloud(base), q[0])
-            assert nearest(build_index(PointCloud(base), d), q[0]) == (0, d)
-            assert nearest(build_index(PointCloud(base), np.nextafter(d, 0.0)), q[0]) == (-1, np.inf)
+            found, dist = build_index(PointCloud(base), d).nearest_many(q)
+            assert (found[0], dist[0]) == (0, d)
+            found, dist = build_index(PointCloud(base), np.nextafter(d, 0.0)).nearest_many(q)
+            assert (found[0], dist[0]) == (-1, np.inf)
 
     @pytest.mark.parametrize("offset", [0.0, 16.0, -16.0])
     def test_points_straddling_cell_edges(self, offset):
@@ -255,13 +257,12 @@ class TestRadiusBoundedSearch:
 
 
 class TestPly:
-    @pytest.mark.parametrize("binary", [True, False])
     @pytest.mark.parametrize("with_features", [True, False])
-    def test_roundtrip(self, rng, binary, with_features):
+    def test_roundtrip(self, rng, with_features):
         feats = rng.standard_normal((20, 5)) if with_features else None
         pc = PointCloud(rng.uniform(-10, 10, (20, 3)), features=feats)
         buf = io.BytesIO()
-        write_ply(pc, buf, binary=binary)
+        write_ply(pc, buf)
         buf.seek(0)
         back = read_ply(buf)
         # storage is float32
@@ -284,9 +285,9 @@ class TestPly:
             read_ply(io.BytesIO(b"not a ply\n"))
 
     def test_rejects_unknown_property_type(self):
-        header = b"ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\n"
+        header = b"ply\nformat binary_little_endian 1.0\nelement vertex 1\nproperty double x\n"
         with pytest.raises(FormatError):
-            read_ply(io.BytesIO(header + b"property float y\nproperty float z\nend_header\n0 0 0\n"))
+            read_ply(io.BytesIO(header + b"property float y\nproperty float z\nend_header\n" + bytes(12)))
 
     def test_rejects_truncated_binary(self):
         pc = PointCloud(np.zeros((4, 3)))
@@ -296,22 +297,23 @@ class TestPly:
         with pytest.raises(FormatError):
             read_ply(io.BytesIO(data))
 
-    # each malformed header or row once raised ValueError or IndexError
-    _XYZ = b"property float x\nproperty float y\nproperty float z\nend_header\n"
+    # each malformed header line once raised ValueError or IndexError; each
+    # blob below fails on the line its id names, before the 12-byte payload
+    _XYZ = b"property float x\nproperty float y\nproperty float z\nend_header\n" + bytes(12)
+    _BLE = b"ply\nformat binary_little_endian 1.0\n"
 
-    @pytest.mark.parametrize("blob", [
-        b"ply\nformat ascii 1.0\nelement vertex many\n" + _XYZ,
-        b"ply\nformat ascii 1.0\nelement vertex -3\n" + _XYZ,
-        b"ply\nformat binary_little_endian 1.0\nelement vertex -3\n" + _XYZ,
-        b"ply\nformat\nelement vertex 1\n" + _XYZ + b"0 0 0\n",
-        b"ply\nformat ascii 1.0\nelement vertex\n" + _XYZ + b"0 0 0\n",
-        b"ply\nformat ascii 1.0\nelement vertex 1\nproperty float\n" + _XYZ + b"0 0 0\n",
-        b"ply\nformat ascii 1.0\nelement vertex 1\n" + _XYZ + b"a b c\n",
-        b"ply\nformat ascii 1.0\nelement vertex 1\n" + _XYZ + b"0 0 \xff\n",
-    ], ids=["count-not-int", "negative-count-ascii", "negative-count-binary", "short-format",
-            "short-element", "short-property", "non-numeric-row", "non-ascii-row"])
-    def test_malformed_text_raises_format_error(self, blob):
-        with pytest.raises(FormatError):
+    @pytest.mark.parametrize("blob, message", [
+        (_BLE + b"element vertex many\n" + _XYZ, "is not an integer"),
+        (_BLE + b"element vertex -3\n" + _XYZ, "negative PLY vertex count"),
+        (b"ply\nformat\nelement vertex 1\n" + _XYZ, "too few fields"),
+        (_BLE + b"element vertex\n" + _XYZ, "too few fields"),
+        (_BLE + b"element vertex 1\nproperty float\n" + _XYZ, "too few fields"),
+        (b"ply\nformat ascii 1.0\nelement vertex 1\n" + _XYZ, "unsupported PLY format 'ascii'"),
+        (_BLE + b"comment \xff\nelement vertex 1\n" + _XYZ, "non-ASCII byte"),
+    ], ids=["count-not-int", "negative-count-binary", "short-format", "short-element",
+            "short-property", "ascii-format", "non-ascii-header"])
+    def test_malformed_text_raises_format_error(self, blob, message):
+        with pytest.raises(FormatError, match=message):
             read_ply(io.BytesIO(blob))
 
 

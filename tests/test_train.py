@@ -20,12 +20,12 @@ from pointpair.train import (
     SkipStep,
     TrainConfig,
     TrainLogRecord,
+    forward_backward,
     load_checkpoint,
     poly_lr,
     save_checkpoint,
     sgd_step,
     train,
-    train_step,
     _pair_index,
     _step_rng,
 )
@@ -119,10 +119,10 @@ class TestTrainStep:
         unet = UNet(cfg.unet)
         params = unet.init_params(0)
         before = {n: params[n].copy() for n in params.names() if is_trainable(n)}
-        state = OptimizerState.zeros(params)
-        state.iteration = cfg.max_iters  # poly_lr is exactly 0 here
-        rec = train_step(small_corpus[0], params, state, cfg, unet, _step_rng(0, 0))
-        assert np.isfinite(rec.loss)
+        outcome = forward_backward(small_corpus[0], params, cfg, unet, _step_rng(0, 0))
+        assert np.isfinite(outcome.loss)
+        lr = poly_lr(cfg.max_iters, cfg)  # exactly 0
+        sgd_step(params, outcome.grads, OptimizerState.zeros(params), lr, cfg.momentum, cfg.weight_decay)
         for name, t in before.items():
             np.testing.assert_array_equal(params[name], t)
 
@@ -132,9 +132,8 @@ class TestTrainStep:
         for _ in range(2):
             unet = UNet(cfg.unet)
             params = unet.init_params(cfg.seed)
-            state = OptimizerState.zeros(params)
-            rec = train_step(small_corpus[0], params, state, cfg, unet, _step_rng(cfg.seed, 0))
-            losses.append(rec.loss)
+            outcome = forward_backward(small_corpus[0], params, cfg, unet, _step_rng(cfg.seed, 0))
+            losses.append(outcome.loss)
         assert losses[0] == losses[1]
 
     def test_skip_step_on_degenerate_pair(self):
@@ -144,7 +143,7 @@ class TestTrainStep:
         unet = UNet(cfg.unet)
         params = unet.init_params(0)
         with pytest.raises(SkipStep):
-            train_step(pair, params, OptimizerState.zeros(params), cfg, unet, _step_rng(0, 0))
+            forward_backward(pair, params, cfg, unet, _step_rng(0, 0))
 
     def test_augmented_matches_stay_physically_close(self, small_corpus):
         # matched voxel rows, mapped back through the inverse transforms, sit

@@ -96,7 +96,7 @@ class TestForward:
         cfg = tiny_unet_config()
         unet = UNet(cfg)
         params = unet.init_params(1)
-        before = params.copy()
+        before = {name: params[name].copy() for name in params.names()}
         inp = _input(rng, 60, cfg.in_dim)
         _, tape = unet.forward(inp, params, "train")
         commit_bn_stats(params, tape.bn_stats, cfg.bn_momentum)

@@ -8,12 +8,10 @@ from pointpair.voxel import (
     SparseVoxelTensor,
     VoxelHashMap,
     collapse_matches_to_voxels,
-    devoxelize,
     pack_coords,
     pack_shifted,
     quantize,
     unpack_coords,
-    voxel_hash_lookup,
 )
 
 
@@ -90,33 +88,31 @@ class TestQuantize:
 
 
 class TestDevoxelize:
+    # per-point features read back through the origin map: t.features[t.origin_map]
     def test_identity_when_no_collisions(self):
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         feats = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
         t = quantize(PointCloud(pts, features=feats), 0.5)
-        np.testing.assert_array_equal(devoxelize(t), feats)
+        np.testing.assert_array_equal(t.features[t.origin_map], feats)
 
     def test_collided_points_share_a_row(self):
         pts = np.array([[0.01, 0.0, 0.0], [0.02, 0.0, 0.0]])
         t = quantize(PointCloud(pts, features=np.array([[5.0], [9.0]])), 0.05)
-        out = devoxelize(t)
+        out = t.features[t.origin_map]
         np.testing.assert_array_equal(out[0], out[1])
 
     def test_matches_naive_lookup_loop(self, rng):
         pc = PointCloud(rng.uniform(0, 1, (200, 3)), features=rng.standard_normal((200, 3)))
         t = quantize(pc, 0.07)
-        naive = np.stack([t.features[t.origin_map[i]] for i in range(200)])
-        np.testing.assert_array_equal(devoxelize(t), naive)
+        # each point's row found by scanning the coordinates for its voxel
+        cells = np.floor(pc.points / 0.07).astype(np.int64)
+        naive = np.stack([t.features[np.flatnonzero((t.coords == c).all(axis=1))[0]] for c in cells])
+        np.testing.assert_array_equal(t.features[t.origin_map], naive)
 
     def test_constant_feature_is_lossless(self, rng):
         const = np.tile([[2.5, -1.0]], (100, 1))
         t = quantize(PointCloud(rng.uniform(0, 1, (100, 3)), features=const), 0.1)
-        np.testing.assert_array_equal(devoxelize(t), const)
-
-    def test_requires_origin_map(self):
-        t = SparseVoxelTensor(np.zeros((1, 3), dtype=np.int64), np.ones((1, 1)), 0.05)
-        with pytest.raises(ValueError):
-            devoxelize(t)
+        np.testing.assert_array_equal(t.features[t.origin_map], const)
 
 
 class TestVoxelHash:
@@ -129,13 +125,6 @@ class TestVoxelHash:
         coords = np.array([[0, 0, 0], [1, 2, 3]], dtype=np.int64)
         h = VoxelHashMap(coords)
         assert (h.lookup(np.array([[9, 9, 9], [-4, 0, 2]])) == -1).all()
-
-    def test_lookup_one_api(self, rng):
-        pc = PointCloud(rng.uniform(0, 1, (100, 3)))
-        t = quantize(pc, 0.2)
-        for r, coord in enumerate(t.coords):
-            assert voxel_hash_lookup(t, coord) == r
-        assert voxel_hash_lookup(t, [50, 50, 50]) is None
 
     def test_duplicate_coordinates_rejected(self):
         with pytest.raises(ValueError):
