@@ -10,12 +10,14 @@ Subcommands:
               config dataclass defaults and field notes, written out
 
 Every run writes a manifest.json into its output directory before doing any
-work; it records the environment the run's numbers depend on (Python, numpy,
+work (`pairgen` once its pairs are generated, before the first pair file);
+it records the environment the run's numbers depend on (Python, numpy,
 platform, BLAS build, BLAS thread settings and the network's compute dtype).
 A missing input path (`--frames`, `--pairs`, `--resume`, `--checkpoint`), an
 input directory without a frame or pair file, and a flag or config value out
 of range are validation errors raised before the output directory is
-created.  Every output file is written through `errors.file_stream`: to a
+created; so is, in `eval`, a checkpoint whose tensors do not fit its
+network (a format error).  Every output file is written through `errors.file_stream`: to a
 temporary name that is renamed over the target on completion, and removed if
 the write fails, so a file is either whole or absent.  Exit codes:
 0 success, 1 validation error, 2 runtime failure.
@@ -143,7 +145,6 @@ def cmd_pairgen(args) -> int:
         "radius": args.radius,
         "voxel_size": args.voxel_size,
     }
-    _write_manifest(args.out, "pairgen", config_echo, None, ["pair_*.pcpr"])
     frames = [read_frame(os.path.join(args.frames, f)) for f in frame_files]
     pairs = generate_pairs(
         frames,
@@ -153,6 +154,8 @@ def cmd_pairgen(args) -> int:
         voxel_size=args.voxel_size,
         scene_id=os.path.basename(os.path.normpath(args.frames)),
     )
+    # only now: whether the views fit the voxel grid depends on the frames' extent
+    _write_manifest(args.out, "pairgen", config_echo, None, ["pair_*.pcpr"])
     for k, pair in enumerate(pairs):
         write_pair(pair, os.path.join(args.out, f"pair_{k:04d}.pcpr"))
     print(f"{len(pairs)} pairs (stride={args.stride}, threshold={args.threshold}, radius={args.radius})")
@@ -187,6 +190,7 @@ def cmd_eval(args) -> int:
     _require_input("--checkpoint", args.checkpoint, directory=False)
     params, echo, _ = load_checkpoint(args.checkpoint)
     cfg = TrainConfig.from_dict(echo)
+    UNet(cfg.unet).check_params(params)
     pair_files = _input_files("--pairs", args.pairs, ".pcpr")
     unet_cfg, voxel_size, normalize = cfg.unet, cfg.voxel_size, cfg.loss.normalize_features
     config_echo = {

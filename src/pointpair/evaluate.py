@@ -34,8 +34,11 @@ class FmrConfig:
     inlier_ratio_threshold: float = 0.05  # tau_2
 
     def __post_init__(self):
-        if not (self.inlier_distance > 0 and self.inlier_ratio_threshold > 0):
-            raise ValueError("both FMR thresholds must be positive")
+        if not self.inlier_distance > 0:
+            raise ValueError("inlier_distance must be positive")
+        # a pair counts when its hit ratio, at most 1, exceeds the threshold
+        if not 0 < self.inlier_ratio_threshold < 1:
+            raise ValueError("inlier_ratio_threshold must lie in (0, 1)")
 
 
 @dataclass
@@ -66,9 +69,9 @@ def hit_ratio(
 
     f1 and f2 must be row-aligned with the pair's views quantized at
     `voxel_size` (as produced by `voxelize_pair` / the feature functions).
-    The feature-space search is `geometry.nearest_rows`: it holds the
-    distances of one row block of matches at a time, never the full
-    matches x view-2 matrix.
+    The feature-space search is `geometry.nearest_rows`, in the features'
+    dtype: it holds the distances of one row block of matches at a time,
+    never the full matches x view-2 matrix.
     """
     vp = voxelize_pair(pair, voxel_size)
     if vp.row_matches.shape[0] == 0:
@@ -133,8 +136,10 @@ def model_feature_fn(params: ParameterSet, cfg: UNetConfig, voxel_size: float, n
     A view of the next pair whose points and point features are equal to a
     kept view's reuses that view's features instead of quantizing it and
     running the network again; the features are bitwise those of a fresh
-    forward.  The returned arrays are read-only, since one array may serve
-    two pairs.  `params` must not change while `fn` is in use.
+    forward.  They come in the network's compute dtype (float32,
+    `net.unet.COMPUTE_DTYPE`).  The returned arrays are read-only, since one
+    array may serve two pairs.  `params` must not change while `fn` is in
+    use.
     """
     unet = UNet(cfg)
     kept: list[tuple[np.ndarray, np.ndarray | None, np.ndarray]] = []  # previous pair's views

@@ -8,8 +8,10 @@ dx*dx + dy*dy + dz*dz, the order of the brute-force scan, so wherever that
 scan finds a point within the radius the two agree bit for bit.
 
 Dense searches over feature rows (`nearest_rows`, and the info_nce loss) hold
-at most `BLOCK_ELEMENTS` float64 distances or logits at once: they walk the
-query rows in blocks instead of building the full quadratic matrix.
+at most `BLOCK_ELEMENTS` distances or logits at once: they walk the query rows
+in blocks instead of building the full quadratic matrix.  They compute in the
+dtype of the feature rows they are given: float32 for the network's
+features, float64 for the baselines and the oracles.
 """
 
 from __future__ import annotations
@@ -169,16 +171,18 @@ def brute_force_nearest(pc: PointCloud, query) -> tuple[int, float]:
 
 _DIST_BLOCK_ROWS = 64  # rows of temporaries held at once by pairwise_sq_dists
 
-# Entries (float64: 8 MiB) of the largest row block that `nearest_rows` and
-# `losses.info_nce` hold at once.  A GEMM over a row block can round
-# differently from one over all rows, so results are bitwise those of the
-# unblocked computation only where one block covers the call.
+# Entries (4 MiB in float32, 8 MiB in float64) of the largest row block that
+# `nearest_rows` and `losses.info_nce` hold at once: a count of entries, not
+# bytes, so block boundaries do not depend on the dtype.  A GEMM over a row
+# block can round differently from one over all rows, so results are bitwise
+# those of the unblocked computation only where one block covers the call.
 BLOCK_ELEMENTS = 1 << 20
 
 
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) squared Euclidean distances between row vectors,
-    via the Gram expansion and clamped at 0 against rounding.
+    via the Gram expansion and clamped at 0 against rounding, in the rows'
+    dtype.
 
     Memory: one len(a) x len(b) buffer.  The Gram matrix is one GEMM (split
     GEMMs round differently) and is overwritten block by block with

@@ -20,6 +20,10 @@ Two variants:
 Feature rows are expected L2-normalized for the margin loss (the margins
 assume unit-norm geometry); normalization helpers with exact Jacobians are
 provided here and applied by the trainer for both variants by default.
+
+Everything here computes in the dtype of the features it is given (float32
+from the network, float64 in the gradient checks and oracles) and returns
+gradients in it; only the scalar loss is summed in float64.
 """
 
 from __future__ import annotations
@@ -162,7 +166,10 @@ def info_nce(batch: MatchBatch, tau: float) -> InfoNceResult:
     """Softmax cross-entropy over f1 @ f2.T / tau with diagonal labels.
 
     Memory: the rows of f1 are taken in blocks of max(1, BLOCK_ELEMENTS // n),
-    so one block of logits (at most 8 MiB at n <= 2^20) is held at a time.
+    so one block of logits (at n <= 2^20, at most 4 MiB in float32 and 8 MiB
+    in float64) is held at a time.  The logits, the softmax and the
+    gradients are in the features' dtype; each row's log-softmax of its
+    positive is stored in a float64 buffer and averaged there.
     Each row's softmax needs only its own row, so a block is complete as it
     stands.  In the block buffer the logits become the softmax and then the
     logit gradient; each step is done in place with the same elementwise
@@ -290,7 +297,7 @@ def hardest_contrastive(
     diff = batch.f1 - batch.f2
     d_pos = np.sqrt((diff * diff).sum(axis=1))
     pos_hinge = np.maximum(d_pos - cfg.m_p, 0.0)
-    loss = float((pos_hinge**2).sum() / n_pos)
+    loss = float((pos_hinge**2).sum(dtype=np.float64) / n_pos)
     grad_f1 = np.zeros_like(batch.f1)
     grad_f2 = np.zeros_like(batch.f2)
     pos_active = (pos_hinge > 0.0) & (d_pos > _TINY)
@@ -316,7 +323,7 @@ def hardest_contrastive(
         if n_valid == 0:
             continue
         hinge = np.maximum(cfg.m_n - dmin, 0.0)  # invalid anchors: m_n - inf -> 0
-        loss += float(0.5 * (hinge**2).sum() / n_valid)
+        loss += float(0.5 * (hinge**2).sum(dtype=np.float64) / n_valid)
         g_anchor = np.zeros_like(anchors)
         g_pool = np.zeros_like(pool.features)
         active = valid & (hinge > 0.0) & (dmin > _TINY)

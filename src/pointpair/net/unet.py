@@ -21,13 +21,13 @@ only the per-level `CoordContext`s.
 The network computes in float32 (`COMPUTE_DTYPE`); the parameter registry,
 the gradients, the BN running statistics and the checkpoints stay float64
 master copies.  `UNet.forward` casts the input features and every parameter
-once per call, and its output tensor upcasts the features to float64, so the
-losses and the eval search downstream run in float64.  `UNet.backward`
+once per call and returns its output features in that dtype, so the losses
+and the eval search downstream run in float32 too.  `UNet.backward`
 casts the incoming gradient to the tape's dtype and accumulates the
 parameter gradients into a float64 `GradientSet`; `commit_bn_stats` folds
 the float32 batch statistics into the float64 running statistics.  A
-forward with `dtype=np.float64` runs every layer in float64, which the
-gradient checks use.
+forward with `dtype=np.float64` runs every layer, and so everything
+downstream, in float64, which the gradient checks use.
 
 The output coordinate set always equals the input coordinate set, row for
 row.  Forward passes never mutate the parameter registry; batch-norm batch
@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import ConfigMixin
+from ..errors import FormatError
 from ..voxel import SparseVoxelTensor
 from .layers import (
     BnStats,
@@ -64,7 +65,7 @@ from .layers import (
 )
 from .params import GradientSet, ParameterSet, is_trainable
 
-# The dtype of activations, conv, BN and ReLU; parameters stay float64.
+# The dtype of activations, conv, BN, ReLU and the output features; parameters stay float64.
 COMPUTE_DTYPE = np.float32
 
 
@@ -261,6 +262,22 @@ class UNet:
                 yield from blk.param_specs()
         yield self.head_key, (1, self.cfg.channels[0], self.cfg.out_dim)
 
+    def check_params(self, params: ParameterSet) -> None:
+        """FormatError unless `params` holds exactly this network's tensors,
+        each of the shape `param_specs` gives it: a checkpoint that does not
+        fit the network its config describes."""
+        specs = dict(self.param_specs())
+        for name in sorted(specs.keys() | params.tensors.keys()):
+            if name not in params.tensors:
+                raise FormatError(f"checkpoint lacks the network's tensor '{name}'")
+            if name not in specs:
+                raise FormatError(f"checkpoint tensor '{name}' is not in the network")
+            if params[name].shape != specs[name]:
+                raise FormatError(
+                    f"checkpoint tensor '{name}' has shape {params[name].shape}; "
+                    f"the network needs {specs[name]}"
+                )
+
     def forward(
         self, inp: SparseVoxelTensor, params: ParameterSet, mode: str = "train", *, dtype=COMPUTE_DTYPE
     ):
@@ -268,8 +285,8 @@ class UNet:
         equal input coordinates row for row, with feature width cfg.out_dim.
 
         Every layer computes in `dtype`: the input features and all of
-        `params` are cast to it once here, and the tape holds `dtype` arrays.
-        The output tensor's features are float64 whatever `dtype` is."""
+        `params` are cast to it once here, the tape holds `dtype` arrays and
+        the output tensor's features are `dtype`."""
         cfg = self.cfg
         if inp.feature_dim != cfg.in_dim:
             raise ValueError(f"input width {inp.feature_dim} != configured in_dim {cfg.in_dim}")

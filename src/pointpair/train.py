@@ -7,8 +7,10 @@ for one BLAS build and one BLAS thread count.  The pair schedule and every
 per-step random draw derive from counted seed sequences, never from carried
 generator state, so resuming from a checkpoint at iteration k reproduces the
 uninterrupted run bit for bit.  The U-Net runs in float32 on float64 master
-weights (`net.unet`); its output features, the losses, the gradients, the
-SGD step, the running statistics and the checkpoints are float64.
+weights (`net.unet`).  Its output features, the loss computation and the
+feature gradients stay float32; the loss values are summed in float64, and
+the parameter gradients, the SGD step, the running statistics and the
+checkpoints are float64.
 
 Memory contract: a step holds the loss result only until its gradients are
 scattered (info_nce itself holds one row block of logits at a time, never
@@ -326,9 +328,7 @@ def train(
     unet = UNet(cfg.unet)
     if resume is not None:
         params, echo, state = load_checkpoint(resume)
-        expected = {name for name, _ in unet.param_specs()}
-        if set(params.tensors) != expected:
-            raise FormatError("checkpoint parameters do not match the configured network")
+        unet.check_params(params)
         key = TrainConfig.from_dict(echo).first_difference(cfg)
         if key is not None:
             raise ConfigError(f"checkpoint config differs from the current config at '{key}'")

@@ -95,7 +95,8 @@ class SparseVoxelTensor:
     its voxel, and ``first_points`` gives, for each row, the voxel's
     representative point: the lowest index of the points that fall in it.
     Both come from `quantize` and are None for tensors created inside the
-    network.  Treat instances as immutable after construction.
+    network.  Features are kept as given when float32 or float64 and cast
+    to float64 otherwise.  Treat instances as immutable after construction.
     """
 
     coords: np.ndarray
@@ -106,7 +107,10 @@ class SparseVoxelTensor:
 
     def __post_init__(self):
         coords = np.ascontiguousarray(self.coords, dtype=np.int64)
-        feats = np.asarray(self.features, dtype=np.float64)
+        # float64 is kept uncopied: finite-difference checks perturb it in place
+        feats = np.asarray(self.features)
+        if feats.dtype != np.float32:
+            feats = feats.astype(np.float64, copy=False)
         if coords.ndim != 2 or coords.shape[1] != 3:
             raise ValueError(f"coords must have shape (M, 3), got {coords.shape}")
         if feats.ndim != 2 or feats.shape[0] != coords.shape[0]:

@@ -17,7 +17,7 @@ from pointpair.net.params import load_params
 from pointpair.net.unet import UNet, UNetConfig
 from pointpair.pairs import generate_pairs, read_pair, write_pair
 from pointpair.ply import ply_bytes, read_ply
-from pointpair.train import OptimizerState, TrainConfig, save_checkpoint
+from pointpair.train import OptimizerState, TrainConfig, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture()
@@ -251,6 +251,14 @@ class TestPairgen:
         assert capsys.readouterr().err.startswith(f"error: {name} must ")
         assert not os.path.exists(workdir / "out")
 
+    def test_views_off_the_voxel_grid_exit_1_before_the_out_dir(self, workdir, capsys):
+        # the flag is in range; only the frames' extent puts the views off the packed grid
+        _write_scene(workdir / "scene.ini", cameras=2)
+        cli.main(["synth", "--spec", "scene.ini", "--out", "frames"])
+        assert cli.main(["pairgen", "--frames", "frames", "--out", "out", "--voxel-size", "1e-9"]) == 1
+        assert "voxel coordinates must lie in" in capsys.readouterr().err
+        assert not os.path.exists(workdir / "out")
+
 
 class TestPretrainEval:
     @pytest.fixture()
@@ -309,6 +317,29 @@ class TestPretrainEval:
         assert rc == 0
         out = capsys.readouterr().out
         assert "random-init FMR" in out and "delta" in out
+
+    def test_eval_inlier_ratio_of_one_or_more_exits_1_before_the_out_dir(self, workdir, pairs_dir, capsys):
+        _write_train(workdir / "train.ini", max_iters=1)
+        cli.main(["pretrain", "--pairs", pairs_dir, "--config", "train.ini", "--out", "run"])
+        capsys.readouterr()
+        for ratio in ("1", "2"):
+            rc = cli.main(["eval", "--checkpoint", "run/checkpoint_final.ckpt", "--pairs", pairs_dir,
+                           "--out", "ev", "--inlier-ratio", ratio])
+            assert rc == 1
+            assert capsys.readouterr().err.startswith("error: inlier_ratio_threshold must lie in (0, 1)")
+            assert not os.path.exists(workdir / "ev")
+
+    def test_eval_reshaped_checkpoint_tensor_exits_2_before_the_out_dir(self, workdir, pairs_dir, capsys):
+        _write_train(workdir / "train.ini", max_iters=1)
+        cli.main(["pretrain", "--pairs", pairs_dir, "--config", "train.ini", "--out", "run"])
+        params, echo, state = load_checkpoint("run/checkpoint_final.ckpt")
+        params["down0.kernel"] = params["down0.kernel"][:8]  # well-formed file, wrong network
+        save_checkpoint("cut.ckpt", params, echo, state)
+        capsys.readouterr()
+        rc = cli.main(["eval", "--checkpoint", "cut.ckpt", "--pairs", pairs_dir, "--out", "ev"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: checkpoint tensor 'down0.kernel' has shape (8, ")
+        assert not os.path.exists(workdir / "ev")
 
     def test_eval_truncated_checkpoint_is_format_error(self, workdir, pairs_dir, capsys):
         _write_train(workdir / "train.ini", max_iters=1)

@@ -91,6 +91,11 @@ class TestFmr:
         assert report.fmr == 1.0
         assert report.mean_hit_ratio == 1.0
 
+    def test_baselines_stay_float64(self, rng):
+        pair = _duplicate_pair(rng, 60)
+        for fn in (coordinate_feature_fn(VOX), random_feature_fn(8, 7, VOX)):
+            assert {f.dtype for f in fn(pair)} == {np.dtype(np.float64)}
+
     def test_random_features_fail_on_separated_views(self, rng):
         pts = rng.uniform(0, 5, (1200, 3))
         pc = PointCloud(pts)
@@ -123,8 +128,12 @@ class TestFmr:
         assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FmrConfig(inlier_distance=0.0)
+        # a hit ratio is at most 1, so a threshold of 1 or more would give FMR 0 by construction
+        for key, value in [("inlier_distance", 0.0), ("inlier_distance", float("nan")),
+                           ("inlier_ratio_threshold", 0.0), ("inlier_ratio_threshold", 1.0),
+                           ("inlier_ratio_threshold", 2.0), ("inlier_ratio_threshold", float("nan"))]:
+            with pytest.raises(ValueError, match=key):
+                FmrConfig(**{key: value})
 
 
 def _tiny_cfg(in_dim=1):
@@ -228,7 +237,7 @@ class TestViewReuse:
         for normalize in (True, False):
             fn = model_feature_fn(params, cfg, VOX, normalize)
             for f in fn(_pair(a, b)) + fn(_pair(b, a)):
-                assert f.dtype == np.float64  # the float32 network's output is upcast
+                assert f.dtype == np.float32  # the network's compute dtype, not upcast
                 assert not f.flags.writeable
                 with pytest.raises(ValueError):
                     f[0, 0] = 1.0

@@ -227,6 +227,30 @@ class TestBatchNorm:
         np.testing.assert_allclose(d_beta, upstream.sum(0), atol=1e-12)
         np.testing.assert_allclose(d_gamma, (upstream * tape.xhat).sum(0), atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_backward_bitwise_equal_to_expression(self, rng, dtype, mode):
+        n, c = 500, 7
+        feats = (rng.standard_normal((n, c)) * 3 + 1).astype(dtype)
+        gamma, beta = rng.uniform(0.5, 1.5, c).astype(dtype), rng.standard_normal(c).astype(dtype)
+        rm, rv = rng.standard_normal(c).astype(dtype), rng.uniform(0.5, 2.0, c).astype(dtype)
+        upstream = rng.standard_normal((n, 2 * c)).astype(dtype)
+        upstream[:5, 0] = -0.0
+        upstream[7, 1] = np.nan  # poisons channel 1 alike on both sides
+        d_out = upstream[:, :c]  # a strided view, as the decoder hands a skip's share on
+        _, tape = batch_norm_forward(feats, gamma, beta, rm, rv, mode)
+        got, d_gamma, d_beta = batch_norm_backward(tape, d_out)
+        d_xhat = d_out * gamma
+        if mode == "train":
+            want = tape.inv_std / n * (n * d_xhat - d_xhat.sum(axis=0)
+                                       - tape.xhat * (d_xhat * tape.xhat).sum(axis=0))
+        else:
+            want = d_xhat * tape.inv_std
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+        assert d_beta.tobytes() == d_out.sum(axis=0).tobytes()
+        assert d_gamma.tobytes() == (d_out * tape.xhat).sum(axis=0).tobytes()
+
 
 class TestRelu:
     def test_forward_clamps_negatives(self):
@@ -251,6 +275,19 @@ class TestRelu:
         _, mask = relu_forward(x)
         upstream = rng.standard_normal((10, 5))
         np.testing.assert_array_equal(relu_backward(mask, upstream), np.where(x > 0, upstream, 0.0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_bitwise_equal_to_where(self, rng, dtype):
+        specials = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -1.5]
+        upstream = rng.standard_normal((300, 24)).astype(dtype)
+        upstream[:, :8] = np.array(specials, dtype=dtype)
+        mask = rng.random((300, 24)) > 0.5
+        mask[:2, :8] = [[True] * 8, [False] * 8]  # every special both kept and masked
+        for d_out, m in ((upstream, mask), (upstream[:, :12], mask[:, :12])):  # and a strided view
+            got = relu_backward(m, d_out)
+            want = np.where(m, d_out, 0.0)
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
 
 
 class TestCoordContext:

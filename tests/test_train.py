@@ -362,6 +362,15 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             train(small_corpus, other, resume=str(tmp_path / "checkpoint_final.ckpt"))
 
+    def test_resume_rejects_a_reshaped_tensor(self, small_corpus, tmp_path):
+        cfg = _tiny_cfg(max_iters=1)
+        train(small_corpus, cfg, out_dir=str(tmp_path))
+        params, echo, state = load_checkpoint(str(tmp_path / "checkpoint_final.ckpt"))
+        params["down0.kernel"] = params["down0.kernel"][:8]  # names alone still match
+        save_checkpoint(str(tmp_path / "cut.ckpt"), params, echo, state)
+        with pytest.raises(FormatError, match="'down0.kernel' has shape"):
+            train(small_corpus, cfg, resume=str(tmp_path / "cut.ckpt"))
+
     @pytest.mark.parametrize("change, key", [
         ({"seed": 3}, "'seed'"),
         ({"max_iters": 2}, "'max_iters'"),

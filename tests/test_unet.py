@@ -4,7 +4,17 @@ import io
 import numpy as np
 import pytest
 
-from pointpair.geometry import PointCloud
+from pointpair.errors import FormatError
+from pointpair.geometry import PointCloud, nearest_rows, pairwise_sq_dists
+from pointpair.losses import (
+    LossConfig,
+    collapse_metric,
+    hardest_contrastive,
+    info_nce,
+    l2_normalize_rows_with_grad,
+    sample_negative_pool,
+    subsample_matches,
+)
 from pointpair.net.params import GradientSet, ParameterSet, is_trainable, load_params, save_params
 from pointpair.net.unet import COMPUTE_DTYPE, UNet, UNetConfig, commit_bn_stats, relu_masks
 from pointpair.verify import random_coords, tiny_unet_config
@@ -135,6 +145,25 @@ class TestForward:
             unet.backward(tape, np.zeros_like(out.features))
 
 
+class TestCheckParams:
+    def test_accepts_its_own_parameters(self):
+        unet = UNet(tiny_unet_config())
+        unet.check_params(unet.init_params(0))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t.pop("head.kernel"), "lacks the network's tensor 'head.kernel'"),
+        (lambda t: t.update(extra=np.zeros(3)), "tensor 'extra' is not in the network"),
+        (lambda t: t.update({"down0.kernel": t["down0.kernel"][:8]}), "'down0.kernel' has shape"),
+        (lambda t: t.update({"stem.bn.gamma": np.ones(2)}), "'stem.bn.gamma' has shape"),
+    ], ids=["missing", "extra", "taps", "channels"])
+    def test_rejects_what_does_not_fit(self, edit, message):
+        unet = UNet(tiny_unet_config())
+        params = unet.init_params(0)
+        edit(params.tensors)
+        with pytest.raises(FormatError, match=message):
+            unet.check_params(params)
+
+
 def _float_arrays(tape):
     """Every floating array a unit or head tape holds, found by walking its fields."""
     if isinstance(tape, np.ndarray):
@@ -173,7 +202,7 @@ class TestComputeDtype:
         digest = params.digest()
         inp = _input(rng, 70, cfg.in_dim)
         out, tape = unet.forward(inp, params, "train")
-        assert out.features.dtype == np.float64
+        assert out.features.dtype == np.float32
         d_out = rng.standard_normal(out.features.shape)
         grads, _ = unet.backward(tape, d_out)
         assert {g.dtype for g in grads.tensors.values()} == {np.dtype(np.float64)}
@@ -183,6 +212,33 @@ class TestComputeDtype:
         _, tape = unet.forward(inp, params, "train")
         grads32, _ = unet.backward(tape, d_out.astype(np.float32))
         assert grads32.digest() == grads.digest()
+
+    @pytest.mark.parametrize("kwargs, dtype", [({}, np.float32), ({"dtype": np.float64}, np.float64)])
+    def test_losses_and_search_follow_the_output_dtype(self, rng, kwargs, dtype):
+        cfg = tiny_unet_config()
+        unet = UNet(cfg)
+        out, tape = unet.forward(_input(rng, 90, cfg.in_dim), unet.init_params(3), "train", **kwargs)
+        unit, vjp = l2_normalize_rows_with_grad(out.features)
+        rows = np.arange(40)
+        matches = np.stack([rows, rows + 40], axis=1)
+        batch = subsample_matches(matches, unit, unit, 32, rng)
+        nce = info_nce(batch, 0.1)
+        pool1, pool2 = sample_negative_pool(unit, 16, rng), sample_negative_pool(unit, 16, rng)
+        hard = hardest_contrastive(batch, pool1, pool2, LossConfig(variant="hardest_contrastive"))
+        dists = pairwise_sq_dists(unit[:10], unit)
+        arrays = [out.features, unit, vjp(unit), batch.f1, nce.grad_f1, nce.grad_f2,
+                  hard.grad_f1, hard.grad_f2, hard.grad_neg1, hard.grad_neg2, dists]
+        assert {a.dtype for a in arrays} == {np.dtype(dtype)}
+        assert np.array_equal(nearest_rows(unit[:10], unit), dists.argmin(axis=1))
+        for value in (nce.loss, hard.loss, collapse_metric(unit)):
+            assert type(value) is float
+        # the loss of the same features in float64 differs by float32 rounding alone
+        u64 = unit.astype(np.float64)
+        loss64 = info_nce(subsample_matches(matches, u64, u64, 40, rng), 0.1).loss
+        assert abs(info_nce(subsample_matches(matches, unit, unit, 40, rng), 0.1).loss - loss64) < 1e-5
+        grads, d_in = unet.backward(tape, vjp(unit))
+        assert d_in.dtype == dtype
+        assert {g.dtype for g in grads.tensors.values()} == {np.dtype(np.float64)}
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_float32_forward_tracks_float64(self, rng, mode):

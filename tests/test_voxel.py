@@ -87,6 +87,22 @@ class TestQuantize:
             quantize(PointCloud(rng.uniform(0, 1, (5, 3))), 0.0)
 
 
+class TestFeatureDtype:
+    def test_float32_and_float64_kept_as_given(self, rng):
+        coords = np.arange(12).reshape(4, 3)
+        for dtype in (np.float32, np.float64):
+            feats = rng.standard_normal((4, 2)).astype(dtype)
+            # not even copied: finite-difference checks perturb the float64 input in place
+            assert SparseVoxelTensor(coords, feats, 1.0).features is feats
+
+    @pytest.mark.parametrize("feats", [np.ones((4, 2), np.int64), np.ones((4, 2), np.float16),
+                                       np.ones((4, 2), ">f4"), [[1, 2]] * 4])
+    def test_other_dtypes_become_float64(self, feats):
+        t = SparseVoxelTensor(np.arange(12).reshape(4, 3), feats, 1.0)
+        assert t.features.dtype == np.float64
+        assert np.array_equal(t.features, np.asarray(feats))
+
+
 class TestDevoxelize:
     # per-point features read back through the origin map: t.features[t.origin_map]
     def test_identity_when_no_collisions(self):
