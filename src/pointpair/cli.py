@@ -16,10 +16,13 @@ platform, BLAS build, BLAS thread settings and the network's compute dtype).
 A missing input path (`--frames`, `--pairs`, `--resume`, `--checkpoint`), an
 input directory without a frame or pair file, and a flag or config value out
 of range are validation errors raised before the output directory is
-created; so is, in `eval`, a checkpoint whose tensors do not fit its
-network (a format error).  Every output file is written through `errors.file_stream`: to a
-temporary name that is renamed over the target on completion, and removed if
-the write fails, so a file is either whole or absent.  Exit codes:
+created.  Also before it, `eval` and `pretrain --resume` reject a
+checkpoint whose tensors do not fit its network (a format error), and
+`pretrain --resume` one whose config echo differs from the config (a
+validation error).  Every output file is written through
+`errors.file_stream`: to a temporary name that is renamed over the target on
+completion, and removed if the write fails, so a file is either whole or
+absent.  Exit codes:
 0 success, 1 validation error, 2 runtime failure.
 An unexpected failure (a bug, not a bad input) also leaves its traceback:
 in `traceback.txt` inside the command's `--out` directory when it exists,
@@ -52,7 +55,7 @@ from .frames import SyntheticSceneSpec, read_frame, synthesize_scene, write_fram
 from .net.unet import COMPUTE_DTYPE, UNet
 from .pairs import DEFAULT_MATCH_RADIUS, DEFAULT_OVERLAP_THRESHOLD, DEFAULT_STRIDE, DEFAULT_VOXEL_SIZE
 from .pairs import check_pair_params, generate_pairs, read_pair, write_pair
-from .train import TrainConfig, load_checkpoint, train
+from .train import TrainConfig, load_checkpoint, load_resume, train
 from .verify import run_suite
 
 
@@ -170,13 +173,15 @@ def cmd_pretrain(args) -> int:
     cfg = load_train_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
+    resume = None
     if args.resume is not None:
         _require_input("--resume", args.resume, directory=False)
+        resume = load_resume(args.resume, cfg)
     pair_files = _input_files("--pairs", args.pairs, ".pcpr")
     artifacts = ["checkpoint_final.ckpt", "train_log.csv"]
     _write_manifest(args.out, "pretrain", cfg.to_dict(), cfg.seed, artifacts)
     corpus = _load_pairs(args.pairs, pair_files)
-    result = train(corpus, cfg, out_dir=args.out, resume=args.resume)
+    result = train(corpus, cfg, out_dir=args.out, resume=resume)
     final = result.records[-1].loss if result.records else float("nan")
     print(
         f"trained {cfg.max_iters} iterations on {len(corpus)} pairs; "

@@ -1,12 +1,17 @@
 """Sparse-tensor layer primitives with hand-written backward passes.
 
 A convolution kernel has shape (K^3, Cin, Cout) with offsets enumerated
-lexicographically over (dx, dy, dz) in [-(K-1)/2, (K-1)/2]^3.  The output
-feature at coordinate c is sum_k W[k] . feat(c + offset_k); absent neighbors
-contribute nothing.  Stride-2 convolutions place outputs at the unique
-floor-halved input coordinates with kernel offsets still enumerated in input
-coordinate space; transposed (upsampling) convolutions scatter through the
-adjoint of that coordinate mapping onto the finer coordinate set.
+lexicographically over (dx, dy, dz).  The output feature at coordinate c is
+sum_k W[k] . feat(c + offset_k); absent neighbors contribute nothing.  At
+stride 1, K is odd and the offsets are centred, [-(K-1)/2, (K-1)/2]^3.
+Stride-2 convolutions place outputs at the unique floor-halved input
+coordinates, and the fine coordinate of coarse site c at tap k is
+2c + offset_k.  For K = 2 the offsets are {0, 1}^3 (tap 4*dx + 2*dy + dz),
+so every fine coordinate f sits in exactly one tap, the tap of its parities
+f & 1, under its parent f >> 1; for odd K they are the centred offsets, and a
+fine coordinate feeds up to K^3 coarse sites.  Transposed (upsampling)
+convolutions scatter through the adjoint of that coordinate mapping onto the
+finer coordinate set.
 
 Every convolution runs through one entry point, `conv_forward(maps, feats,
 kernel, n_out)`, and its adjoint `conv_backward(tape, d_out)`; the kernel map
@@ -117,7 +122,19 @@ def downsample_coords(coords: np.ndarray) -> np.ndarray:
 
 
 def stride2_maps(fine: CoordContext, coarse: CoordContext, kernel_size: int) -> OffsetMaps:
-    """(coarse row, fine row) pairs per offset: fine coord = 2*coarse + offset."""
+    """(coarse row, fine row) pairs per offset: fine coord = 2*coarse + offset.
+
+    Kernel 2 takes the offsets {0, 1}^3: each fine row's tap is its parity
+    and its coarse row the lookup of its parent, one query per fine row.  Odd
+    kernels take the centred offsets of `kernel_offsets`."""
+    if kernel_size == 2:
+        parity = fine.coords & 1
+        taps = 4 * parity[:, 0] + 2 * parity[:, 1] + parity[:, 2]
+        parents = coarse.hash.lookup(fine.coords >> 1)
+        src_rows = np.full((8, coarse.n), -1, dtype=np.int64)
+        rows = np.flatnonzero(parents >= 0)
+        src_rows[taps[rows], parents[rows]] = rows
+        return _split_maps(src_rows)
     offs = kernel_offsets(kernel_size)
     src_rows = fine.hash.lookup(coarse.coords << 1, offs)
     return _split_maps(src_rows.reshape(offs.shape[0], coarse.n))

@@ -12,6 +12,12 @@ Convolutions carry no bias (the normalization shift absorbs it).  Every
 convolution goes through `layers.conv_forward`/`conv_backward` on the kernel
 maps built once per forward pass, one `CoordContext` per level.
 
+As in the source paper's SR-UNet (MinkowskiEngine's Res16UNet), each down
+convolution has kernel 2 (8 taps, offsets {0, 1}^3) at stride 2 and each up
+convolution is its transpose, so every fine voxel meets exactly one coarse
+voxel, its parent.  `UNetConfig.kernel_size` sets the stride-1 convolutions
+only.
+
 Each unit returns a tape with named fields (`ConvBnTape`, `BlockTape`), and
 in train mode `UNetTape.units` keeps them by unit name in forward order; the
 backward pass and `relu_masks` read them by name.  An eval-mode forward keeps
@@ -39,7 +45,7 @@ backward pass, and fold them into the running statistics with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,6 +73,8 @@ from .params import GradientSet, ParameterSet, is_trainable
 
 # The dtype of activations, conv, BN, ReLU and the output features; parameters stay float64.
 COMPUTE_DTYPE = np.float32
+# The kernel size of the stride-2 down convolutions and their transposes, the up convolutions.
+STRIDE2_KERNEL = 2
 
 
 @dataclass(frozen=True)
@@ -76,7 +84,7 @@ class UNetConfig(ConfigMixin):
     levels: int = 3
     channels: tuple[int, ...] = (16, 32, 64)
     blocks_per_level: int = 1
-    kernel_size: int = 3
+    kernel_size: int = field(default=3, metadata={"note": "odd; the stride-1 convs only (down/up are kernel 2)"})
     in_dim: int = 1
     out_dim: int = 32
     bn_epsilon: float = 1e-5
@@ -232,14 +240,14 @@ class UNet:
         self.cfg = cfg
         ch = cfg.channels
         taps = cfg.kernel_size**3
-        unit = lambda name, cin, cout: ConvBn(f"{name}.kernel", f"{name}.bn", (taps, cin, cout))  # noqa: E731
+        unit = lambda name, cin, cout, taps=taps: ConvBn(f"{name}.kernel", f"{name}.bn", (taps, cin, cout))  # noqa: E731
         self.stem = unit("stem", cfg.in_dim, ch[0])
         self.enc_blocks = [
             [ResidualBlock(f"enc{l}.block{b}", taps, ch[l], ch[l]) for b in range(cfg.blocks_per_level)]
             for l in range(cfg.levels)
         ]
-        self.downs = [unit(f"down{l}", ch[l], ch[l + 1]) for l in range(cfg.levels - 1)]
-        self.ups = [unit(f"up{l}", ch[l + 1], ch[l]) for l in range(cfg.levels - 1)]
+        self.downs = [unit(f"down{l}", ch[l], ch[l + 1], STRIDE2_KERNEL**3) for l in range(cfg.levels - 1)]
+        self.ups = [unit(f"up{l}", ch[l + 1], ch[l], STRIDE2_KERNEL**3) for l in range(cfg.levels - 1)]
         self.dec_blocks = [
             [
                 ResidualBlock(f"dec{l}.block{b}", taps, 2 * ch[l] if b == 0 else ch[l], ch[l])
@@ -296,7 +304,7 @@ class UNet:
         down_maps: list[OffsetMaps] = []
         for l in range(cfg.levels - 1):
             coarse = CoordContext(downsample_coords(ctxs[l].coords))
-            down_maps.append(stride2_maps(ctxs[l], coarse, k))
+            down_maps.append(stride2_maps(ctxs[l], coarse, STRIDE2_KERNEL))
             ctxs.append(coarse)
 
         units: dict[str, ConvBnTape | BlockTape] = {}

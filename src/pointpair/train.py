@@ -301,6 +301,18 @@ def load_checkpoint(path) -> tuple[ParameterSet, dict, OptimizerState]:
     return params, echo, OptimizerState(buffers, iteration)
 
 
+def load_resume(path, cfg: TrainConfig) -> tuple[ParameterSet, OptimizerState]:
+    """The parameters and optimizer state of checkpoint `path`, checked to
+    continue a run of `cfg`: FormatError unless its tensor names and shapes
+    fit cfg's network, then ConfigError unless its config echo equals cfg."""
+    params, echo, state = load_checkpoint(path)
+    UNet(cfg.unet).check_params(params)
+    key = TrainConfig.from_dict(echo).first_difference(cfg)
+    if key is not None:
+        raise ConfigError(f"checkpoint config differs from the current config at '{key}'")
+    return params, state
+
+
 def write_log_csv(path, records: list[TrainLogRecord]) -> None:
     with file_stream(path, "w") as fh:
         fh.write(LOG_HEADER + "\n")
@@ -312,26 +324,26 @@ def train(
     corpus: list[ScenePair],
     cfg: TrainConfig,
     out_dir: str | None = None,
-    resume: str | None = None,
+    resume: str | os.PathLike | tuple[ParameterSet, OptimizerState] | None = None,
 ) -> TrainResult:
     """Run the training loop over a seeded shuffled pair schedule.
 
     Pairs cycle (reshuffled each epoch) until max_iters optimizer steps have
     run.  Checkpoints land in `out_dir` every `checkpoint_every` steps plus a
-    final `checkpoint_final.ckpt`; pass `resume` to continue a run, which
-    reproduces the uninterrupted run's remaining records exactly.
+    final `checkpoint_final.ckpt`.  Pass `resume` to continue a run, which
+    reproduces the uninterrupted run's remaining records exactly: a
+    checkpoint path, or the state `load_resume` already loaded and checked
+    from one (the training loop updates it in place).
     """
     if not corpus:
         raise ValueError("training corpus is empty")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     unet = UNet(cfg.unet)
+    if isinstance(resume, (str, os.PathLike)):
+        resume = load_resume(resume, cfg)
     if resume is not None:
-        params, echo, state = load_checkpoint(resume)
-        unet.check_params(params)
-        key = TrainConfig.from_dict(echo).first_difference(cfg)
-        if key is not None:
-            raise ConfigError(f"checkpoint config differs from the current config at '{key}'")
+        params, state = resume
     else:
         params = unet.init_params(cfg.seed)
         state = OptimizerState.zeros(params)

@@ -207,8 +207,8 @@ def _conv_instance_error(rng: np.random.Generator, maps, feats, kernel, n_out: i
 
 
 def _check_conv_gradients(rng: np.random.Generator, kind: str, instances: int) -> CheckResult:
-    """`kind` is "stride1", "stride2" (fine to coarse) or "transpose" (coarse
-    to fine, the stride-2 map swapped)."""
+    """`kind` is "stride1" (kernel 3), "stride2" (fine to coarse, kernel 2 as
+    in the U-Net) or "transpose" (coarse to fine, the stride-2 map swapped)."""
     worst = 0.0
     for _ in range(instances):
         n = int(rng.integers(20, 60))
@@ -219,11 +219,11 @@ def _check_conv_gradients(rng: np.random.Generator, kind: str, instances: int) -
             maps, n_in, n_out = fine.stride1_maps(3), n, n
         else:
             coarse = layers.CoordContext(layers.downsample_coords(fine.coords))
-            maps, n_in, n_out = layers.stride2_maps(fine, coarse, 3), n, coarse.n
+            maps, n_in, n_out = layers.stride2_maps(fine, coarse, 2), n, coarse.n
             if kind == "transpose":
                 maps, n_in, n_out = layers.swap_maps(maps), coarse.n, n
         feats = rng.standard_normal((n_in, cin))
-        kernel = rng.standard_normal((27, cin, cout)) * 0.5
+        kernel = rng.standard_normal((len(maps), cin, cout)) * 0.5
         worst = max(worst, _conv_instance_error(rng, maps, feats, kernel, n_out))
     name = "gradcheck.transpose_conv" if kind == "transpose" else f"gradcheck.sparse_conv.{kind}"
     return CheckResult(name, worst < TOL_PER_OP, f"max rel err {worst:.3e}")
@@ -367,8 +367,9 @@ def _check_info_nce_gradients(rng: np.random.Generator, instances: int) -> Check
 
 
 def _hardest_instance(rng: np.random.Generator, cfg: LossConfig, margin: float = 2e-2):
-    """Random features kept away from hinge boundaries and argmin ties so the
-    loss is differentiable at the sample."""
+    """Random features kept away from hinge boundaries, argmin ties and
+    near-zero distances (where the norm's curvature defeats a central
+    difference) so the loss is smooth around the sample."""
     for _ in range(200):
         n = int(rng.integers(2, 7))
         p = int(rng.integers(2, 9))
@@ -385,7 +386,11 @@ def _hardest_instance(rng: np.random.Generator, cfg: LossConfig, margin: float =
         for anchors, pool in ((f1, neg1), (f2, neg2)):
             dist = np.linalg.norm(anchors[:, None, :] - pool.features[None, :, :], axis=2)
             part = np.sort(dist, axis=1)
-            if np.abs(part[:, 0] - cfg.m_n).min() < margin or (part[:, 1] - part[:, 0]).min() < margin:
+            if (
+                np.abs(part[:, 0] - cfg.m_n).min() < margin
+                or (part[:, 1] - part[:, 0]).min() < margin
+                or part[:, 0].min() < margin
+            ):
                 ok = False
         if ok:
             return batch, neg1, neg2

@@ -333,13 +333,42 @@ class TestPretrainEval:
         _write_train(workdir / "train.ini", max_iters=1)
         cli.main(["pretrain", "--pairs", pairs_dir, "--config", "train.ini", "--out", "run"])
         params, echo, state = load_checkpoint("run/checkpoint_final.ckpt")
-        params["down0.kernel"] = params["down0.kernel"][:8]  # well-formed file, wrong network
+        params["down0.kernel"] = params["down0.kernel"][:4]  # well-formed file, wrong network
         save_checkpoint("cut.ckpt", params, echo, state)
         capsys.readouterr()
         rc = cli.main(["eval", "--checkpoint", "cut.ckpt", "--pairs", pairs_dir, "--out", "ev"])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: checkpoint tensor 'down0.kernel' has shape (8, ")
+        assert capsys.readouterr().err.startswith("error: checkpoint tensor 'down0.kernel' has shape (4, ")
         assert not os.path.exists(workdir / "ev")
+
+    def test_27_tap_stride2_checkpoint_exits_2_before_the_out_dir(self, workdir, pairs_dir, capsys):
+        """A checkpoint of the earlier network, whose down and up convs had
+        27 taps, is another network: resume and eval reject it before --out."""
+        _write_train(workdir / "train.ini", max_iters=1)
+        cli.main(["pretrain", "--pairs", pairs_dir, "--config", "train.ini", "--out", "run"])
+        params, echo, state = load_checkpoint("run/checkpoint_final.ckpt")
+        for name in ("down0.kernel", "up0.kernel"):
+            params[name] = np.zeros((27, *params[name].shape[1:]))
+        save_checkpoint("old.ckpt", params, echo, state)
+        capsys.readouterr()
+        for argv in (["pretrain", "--pairs", pairs_dir, "--config", "train.ini", "--resume", "old.ckpt"],
+                     ["eval", "--checkpoint", "old.ckpt", "--pairs", pairs_dir]):
+            assert cli.main(argv + ["--out", "again"]) == 2
+            assert capsys.readouterr().err == (
+                "error: checkpoint tensor 'down0.kernel' has shape (27, 4, 6); the network needs (8, 4, 6)\n"
+            )
+            assert not os.path.exists(workdir / "again")
+
+    def test_resume_with_changed_config_exits_1_before_the_out_dir(self, workdir, pairs_dir, capsys):
+        _write_train(workdir / "train.ini", max_iters=1)
+        cli.main(["pretrain", "--pairs", pairs_dir, "--config", "train.ini", "--out", "run"])
+        _write_train(workdir / "train.ini", max_iters=2)
+        capsys.readouterr()
+        rc = cli.main(["pretrain", "--pairs", pairs_dir, "--config", "train.ini",
+                       "--resume", "run/checkpoint_final.ckpt", "--out", "again"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: checkpoint config differs from the current config at 'max_iters'")
+        assert not os.path.exists(workdir / "again")
 
     def test_eval_truncated_checkpoint_is_format_error(self, workdir, pairs_dir, capsys):
         _write_train(workdir / "train.ini", max_iters=1)

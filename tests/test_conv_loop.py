@@ -52,6 +52,10 @@ def _maps(kind, rng, n, extent):
         return stride2_maps(fine, coarse, 3), fine.n, coarse.n
     if kind == "transpose":
         return swap_maps(stride2_maps(fine, coarse, 3)), coarse.n, fine.n
+    if kind == "stride2_k2":  # the U-Net's down and up maps
+        return stride2_maps(fine, coarse, 2), fine.n, coarse.n
+    if kind == "transpose_k2":
+        return swap_maps(stride2_maps(fine, coarse, 2)), coarse.n, fine.n
     # a stride-1 map with some taps emptied, the identity among them kept
     maps = list(fine.stride1_maps(3))
     empty = np.zeros(0, dtype=np.int64)
@@ -69,10 +73,12 @@ def _features(rng, rows, cols, sliced):
     return rng.standard_normal((rows, cols + 3))[:, :cols]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=84, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    kind=st.sampled_from(["stride1", "one_tap", "stride2", "transpose", "sparse_taps"]),
+    kind=st.sampled_from(
+        ["stride1", "one_tap", "stride2", "transpose", "stride2_k2", "transpose_k2", "sparse_taps"]
+    ),
     n=st.integers(1, 120),
     extent=st.integers(2, 9),
     cin=st.integers(1, 9),

@@ -124,6 +124,23 @@ class TestSparseConv:
         with pytest.raises(RuntimeError):
             conv_backward(tape, np.zeros_like(out.features))
 
+    def test_eight_tap_kernel_at_stride1_rejected(self, rng):
+        with pytest.raises(ValueError):
+            sparse_conv_forward(_tensor(rng), np.zeros((8, 3, 2)), 1)
+
+    def test_eight_tap_kernel_at_stride2_gives_each_fine_row_one_tap(self, rng):
+        t = _tensor(rng, cin=2)
+        kernel = rng.standard_normal((8, 2, 3))
+        out, _ = sparse_conv_forward(t, kernel, 2)
+        np.testing.assert_array_equal(out.coords, downsample_coords(t.coords))
+        parity = t.coords & 1
+        taps = 4 * parity[:, 0] + 2 * parity[:, 1] + parity[:, 2]
+        want = np.zeros_like(out.features)
+        rows = {tuple(c): r for r, c in enumerate(out.coords.tolist())}
+        for i, c in enumerate((t.coords >> 1).tolist()):
+            want[rows[tuple(c)]] += t.features[i] @ kernel[taps[i]]
+        np.testing.assert_allclose(out.features, want, rtol=1e-12, atol=1e-12)
+
     def test_channel_mismatch_rejected(self, rng):
         t = _tensor(rng, cin=3)
         with pytest.raises(ValueError):
@@ -354,6 +371,31 @@ class TestMapsAgainstReference:
                 got = stride2_maps(CoordContext(fine), CoordContext(coarse_rows), kernel_size)
                 _assert_maps_equal(got, want)
                 _assert_maps_equal(swap_maps(got), [ref[:, ::-1] for ref in want])
+
+    def test_stride2_kernel2_and_transpose(self, rng):
+        offs = np.array(list(itertools.product((0, 1), repeat=3)), dtype=np.int64)
+        for fine in _coord_sets(rng):
+            coarse = downsample_coords(fine)
+            for coarse_rows in (coarse, coarse[rng.permutation(len(coarse))]):
+                want = _reference_maps(coarse_rows, fine, offs, scale=2)
+                got = stride2_maps(CoordContext(fine), CoordContext(coarse_rows), 2)
+                _assert_maps_equal(got, want)
+                _assert_maps_equal(swap_maps(got), [ref[:, ::-1] for ref in want])
+
+    def test_stride2_kernel2_puts_each_fine_row_in_its_parity_tap(self, rng):
+        for fine in _coord_sets(rng):
+            coarse = downsample_coords(fine)
+            coarse_rows = coarse[rng.permutation(len(coarse))]
+            parent_row = {tuple(c): r for r, c in enumerate(coarse_rows.tolist())}
+            maps = stride2_maps(CoordContext(fine), CoordContext(coarse_rows), 2)
+            tap_of = np.full(len(fine), -1)
+            for k, (dst, src) in enumerate(maps):
+                assert (tap_of[src] == -1).all()  # no fine row in two taps
+                tap_of[src] = k
+                want = [parent_row[tuple(c)] for c in (fine[src] >> 1).tolist()]
+                np.testing.assert_array_equal(dst, want)
+            parity = fine & 1
+            np.testing.assert_array_equal(tap_of, 4 * parity[:, 0] + 2 * parity[:, 1] + parity[:, 2])
 
     def test_packing_limit(self):
         limit = 1 << 20

@@ -366,7 +366,7 @@ class TestCheckpoint:
         cfg = _tiny_cfg(max_iters=1)
         train(small_corpus, cfg, out_dir=str(tmp_path))
         params, echo, state = load_checkpoint(str(tmp_path / "checkpoint_final.ckpt"))
-        params["down0.kernel"] = params["down0.kernel"][:8]  # names alone still match
+        params["down0.kernel"] = params["down0.kernel"][:4]  # names alone still match
         save_checkpoint(str(tmp_path / "cut.ckpt"), params, echo, state)
         with pytest.raises(FormatError, match="'down0.kernel' has shape"):
             train(small_corpus, cfg, resume=str(tmp_path / "cut.ckpt"))

@@ -153,7 +153,7 @@ class TestCheckParams:
     @pytest.mark.parametrize("edit, message", [
         (lambda t: t.pop("head.kernel"), "lacks the network's tensor 'head.kernel'"),
         (lambda t: t.update(extra=np.zeros(3)), "tensor 'extra' is not in the network"),
-        (lambda t: t.update({"down0.kernel": t["down0.kernel"][:8]}), "'down0.kernel' has shape"),
+        (lambda t: t.update({"down0.kernel": t["down0.kernel"][:4]}), "'down0.kernel' has shape"),
         (lambda t: t.update({"stem.bn.gamma": np.ones(2)}), "'stem.bn.gamma' has shape"),
     ], ids=["missing", "extra", "taps", "channels"])
     def test_rejects_what_does_not_fit(self, edit, message):
@@ -265,10 +265,10 @@ class TestRefactorInvariants:
             ("stem.kernel", (27, 2, 3)), *_bn("stem.bn", 3),
             ("enc0.block0.conv1.kernel", (27, 3, 3)), *_bn("enc0.block0.bn1", 3),
             ("enc0.block0.conv2.kernel", (27, 3, 3)), *_bn("enc0.block0.bn2", 3),
-            ("down0.kernel", (27, 3, 4)), *_bn("down0.bn", 4),
+            ("down0.kernel", (8, 3, 4)), *_bn("down0.bn", 4),
             ("enc1.block0.conv1.kernel", (27, 4, 4)), *_bn("enc1.block0.bn1", 4),
             ("enc1.block0.conv2.kernel", (27, 4, 4)), *_bn("enc1.block0.bn2", 4),
-            ("up0.kernel", (27, 4, 3)), *_bn("up0.bn", 3),
+            ("up0.kernel", (8, 4, 3)), *_bn("up0.bn", 3),
             ("dec0.block0.conv1.kernel", (27, 6, 3)), *_bn("dec0.block0.bn1", 3),
             ("dec0.block0.conv2.kernel", (27, 3, 3)), *_bn("dec0.block0.bn2", 3),
             ("dec0.block0.shortcut.kernel", (1, 6, 3)),
