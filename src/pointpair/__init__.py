@@ -17,6 +17,7 @@ from .voxel import SparseVoxelTensor, quantize
 from .frames import DepthFrame, SyntheticSceneSpec, backproject, synthesize_scene
 from .pairs import (
     CorrespondenceMap,
+    PairConfig,
     ScenePair,
     compute_correspondences,
     compute_overlap,
@@ -52,6 +53,7 @@ __all__ = [
     "backproject",
     "synthesize_scene",
     "CorrespondenceMap",
+    "PairConfig",
     "ScenePair",
     "compute_overlap",
     "compute_correspondences",

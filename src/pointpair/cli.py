@@ -53,8 +53,7 @@ from .evaluate import (
 )
 from .frames import SyntheticSceneSpec, read_frame, synthesize_scene, write_frame
 from .net.unet import COMPUTE_DTYPE, UNet
-from .pairs import DEFAULT_MATCH_RADIUS, DEFAULT_OVERLAP_THRESHOLD, DEFAULT_STRIDE, DEFAULT_VOXEL_SIZE
-from .pairs import check_pair_params, generate_pairs, read_pair, write_pair
+from .pairs import PairConfig, generate_pairs, read_pair, write_pair
 from .train import TrainConfig, load_checkpoint, load_resume, train
 from .verify import run_suite
 
@@ -137,31 +136,17 @@ def cmd_synth(args) -> int:
 
 
 def cmd_pairgen(args) -> int:
-    check_pair_params(args.stride, args.threshold, args.radius, args.voxel_size)
+    cfg = PairConfig(args.stride, args.threshold, args.radius, args.voxel_size)
     frame_files = _input_files("--frames", args.frames, ".pcfd")
     if os.path.isdir(args.out) and any(f.endswith(".pcpr") for f in os.listdir(args.out)):
         raise ConfigError(f"'{args.out}' already holds pair files; pairgen needs an --out without them")
-    config_echo = {
-        "frames_dir": args.frames,
-        "stride": args.stride,
-        "overlap_threshold": args.threshold,
-        "radius": args.radius,
-        "voxel_size": args.voxel_size,
-    }
     frames = [read_frame(os.path.join(args.frames, f)) for f in frame_files]
-    pairs = generate_pairs(
-        frames,
-        stride=args.stride,
-        overlap_threshold=args.threshold,
-        radius=args.radius,
-        voxel_size=args.voxel_size,
-        scene_id=os.path.basename(os.path.normpath(args.frames)),
-    )
+    pairs = generate_pairs(frames, **cfg.to_dict(), scene_id=os.path.basename(os.path.normpath(args.frames)))
     # only now: whether the views fit the voxel grid depends on the frames' extent
-    _write_manifest(args.out, "pairgen", config_echo, None, ["pair_*.pcpr"])
+    _write_manifest(args.out, "pairgen", {"frames_dir": args.frames} | cfg.to_dict(), None, ["pair_*.pcpr"])
     for k, pair in enumerate(pairs):
         write_pair(pair, os.path.join(args.out, f"pair_{k:04d}.pcpr"))
-    print(f"{len(pairs)} pairs (stride={args.stride}, threshold={args.threshold}, radius={args.radius})")
+    print(f"{len(pairs)} pairs (stride={cfg.stride}, threshold={cfg.overlap_threshold}, radius={cfg.radius})")
     return 0
 
 
@@ -198,14 +183,11 @@ def cmd_eval(args) -> int:
     UNet(cfg.unet).check_params(params)
     pair_files = _input_files("--pairs", args.pairs, ".pcpr")
     unet_cfg, voxel_size, normalize = cfg.unet, cfg.voxel_size, cfg.loss.normalize_features
-    config_echo = {
-        "checkpoint": args.checkpoint,
-        "pairs_dir": args.pairs,
-        "features": args.features,
-        "inlier_distance": fmr_cfg.inlier_distance,
-        "inlier_ratio_threshold": fmr_cfg.inlier_ratio_threshold,
-        "voxel_size": voxel_size,
-    }
+    config_echo = (
+        {"checkpoint": args.checkpoint, "pairs_dir": args.pairs, "features": args.features}
+        | fmr_cfg.to_dict()
+        | {"voxel_size": voxel_size}
+    )
     _write_manifest(args.out, "eval", config_echo, None, ["eval_pairs.csv", "eval_summary.json"])
     pairs = _load_pairs(args.pairs, pair_files)
     ids = [p.scene_id for p in pairs]
@@ -260,10 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pairgen", help="build overlapping view pairs from frames")
     p.add_argument("--frames", required=True, help="directory of .pcfd frames")
     p.add_argument("--out", required=True)
-    p.add_argument("--stride", type=int, default=DEFAULT_STRIDE, help="keep every stride-th frame")
-    p.add_argument("--threshold", type=float, default=DEFAULT_OVERLAP_THRESHOLD, help="minimum view overlap")
-    p.add_argument("--radius", type=float, default=DEFAULT_MATCH_RADIUS, help="match radius in meters")
-    p.add_argument("--voxel-size", type=float, default=DEFAULT_VOXEL_SIZE, dest="voxel_size")
+    pair = PairConfig()
+    p.add_argument("--stride", type=int, default=pair.stride, help="keep every stride-th frame")
+    p.add_argument("--threshold", type=float, default=pair.overlap_threshold, help="minimum view overlap")
+    p.add_argument("--radius", type=float, default=pair.radius, help="match radius in meters")
+    p.add_argument("--voxel-size", type=float, default=pair.voxel_size, dest="voxel_size")
     p.set_defaults(fn=cmd_pairgen)
 
     p = sub.add_parser("pretrain", help="run contrastive pre-training")

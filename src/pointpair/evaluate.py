@@ -14,11 +14,13 @@ network feature source runs each such view once (`model_feature_fn`).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigMixin
 from .errors import file_stream, write_json
 from .geometry import PointCloud, nearest_rows
 from .losses import l2_normalize_rows_with_grad
@@ -29,13 +31,14 @@ from .voxel import SparseVoxelTensor, collapse_matches_to_voxels, quantize
 
 
 @dataclass(frozen=True)
-class FmrConfig:
+class FmrConfig(ConfigMixin):
     inlier_distance: float = 0.1  # meters (tau_1)
     inlier_ratio_threshold: float = 0.05  # tau_2
 
     def __post_init__(self):
-        if not self.inlier_distance > 0:
-            raise ValueError("inlier_distance must be positive")
+        # an infinite distance counts every match as a hit
+        if not 0 < self.inlier_distance < math.inf:
+            raise ValueError("inlier_distance must be positive and finite")
         # a pair counts when its hit ratio, at most 1, exceeds the threshold
         if not 0 < self.inlier_ratio_threshold < 1:
             raise ValueError("inlier_ratio_threshold must lie in (0, 1)")
@@ -109,6 +112,8 @@ def feature_match_recall(
     if not pairs:
         raise ValueError("no pairs to evaluate")
     ids = pair_ids if pair_ids is not None else [f"pair{i:04d}" for i in range(len(pairs))]
+    if len(ids) != len(pairs):
+        raise ValueError(f"{len(ids)} pair ids for {len(pairs)} pairs")
     ratios = []
     flags = []
     for pair in pairs:
@@ -195,11 +200,6 @@ def write_report(out_dir: str, report: FmrReport, cfg: FmrConfig) -> None:
             fh.write(f"{pid},{r!r},{int(flag)}\n")
     write_json(
         os.path.join(out_dir, "eval_summary.json"),
-        {
-            "fmr": report.fmr,
-            "mean_hit_ratio": report.mean_hit_ratio,
-            "pairs": len(report.hit_ratios),
-            "inlier_distance": cfg.inlier_distance,
-            "inlier_ratio_threshold": cfg.inlier_ratio_threshold,
-        },
+        {"fmr": report.fmr, "mean_hit_ratio": report.mean_hit_ratio, "pairs": len(report.hit_ratios)}
+        | cfg.to_dict(),
     )

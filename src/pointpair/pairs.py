@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigMixin
 from .errors import EmptyViewError, FormatError, file_stream, invalid_content, read_exact, read_struct
 from .frames import DepthFrame, backproject
 from .geometry import PointCloud, build_index
@@ -35,10 +36,27 @@ log = logging.getLogger(__name__)
 
 _PAIR_MAGIC = b"PCPR"
 
-DEFAULT_STRIDE = 25
-DEFAULT_OVERLAP_THRESHOLD = 0.30
-DEFAULT_MATCH_RADIUS = 0.025
-DEFAULT_VOXEL_SIZE = 0.025
+
+@dataclass(frozen=True)
+class PairConfig(ConfigMixin):
+    """Pair-generation parameters: keep every `stride`-th frame, subsample its
+    view at `voxel_size`, and keep a view pair whose overlap at the match
+    `radius` (meters) reaches `overlap_threshold`."""
+
+    stride: int = 25
+    overlap_threshold: float = 0.30
+    radius: float = 0.025
+    voxel_size: float = 0.025
+
+    def __post_init__(self):
+        if self.stride < 1:
+            raise ValueError("stride must be >= 1")
+        if not 0.0 < self.overlap_threshold <= 1.0:
+            raise ValueError("overlap_threshold must lie in (0, 1]")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
+        if not 0 < self.voxel_size < math.inf:
+            raise ValueError("voxel_size must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -121,24 +139,12 @@ def subsample_view(pc: PointCloud, voxel_size: float) -> PointCloud:
     return PointCloud(pc.points[t.first_points], t.features if pc.features is not None else None)
 
 
-def check_pair_params(stride: int, overlap_threshold: float, radius: float, voxel_size: float) -> None:
-    """Raise ValueError when a `generate_pairs` argument is out of range."""
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    if not 0.0 < overlap_threshold <= 1.0:
-        raise ValueError("overlap_threshold must lie in (0, 1]")
-    if not 0 < radius < math.inf:
-        raise ValueError("radius must be positive and finite")
-    if not 0 < voxel_size < math.inf:
-        raise ValueError("voxel_size must be positive and finite")
-
-
 def generate_pairs(
     frames: list[DepthFrame],
-    stride: int = DEFAULT_STRIDE,
-    overlap_threshold: float = DEFAULT_OVERLAP_THRESHOLD,
-    radius: float = DEFAULT_MATCH_RADIUS,
-    voxel_size: float = DEFAULT_VOXEL_SIZE,
+    stride: int = PairConfig.stride,
+    overlap_threshold: float = PairConfig.overlap_threshold,
+    radius: float = PairConfig.radius,
+    voxel_size: float = PairConfig.voxel_size,
     scene_id: str = "",
 ) -> list[ScenePair]:
     """Emit every view pair whose overlap reaches the threshold.
@@ -146,9 +152,10 @@ def generate_pairs(
     Views are the back-projected frames at indices 0, stride, 2*stride, ...,
     voxel-subsampled at `voxel_size` before matching to bound cost.  Frames
     with no valid pixels are skipped with a warning.  Output order is
-    canonical: ascending (frame index a, frame index b) with a < b.
+    canonical: ascending (frame index a, frame index b) with a < b.  The
+    parameters are `PairConfig`'s fields, with its defaults and bounds.
     """
-    check_pair_params(stride, overlap_threshold, radius, voxel_size)
+    PairConfig(stride, overlap_threshold, radius, voxel_size)  # raises ValueError when one is out of range
     views: list[tuple[int, PointCloud]] = []
     for fi in range(0, len(frames), stride):
         try:

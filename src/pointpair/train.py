@@ -324,24 +324,22 @@ def train(
     corpus: list[ScenePair],
     cfg: TrainConfig,
     out_dir: str | None = None,
-    resume: str | os.PathLike | tuple[ParameterSet, OptimizerState] | None = None,
+    resume: tuple[ParameterSet, OptimizerState] | None = None,
 ) -> TrainResult:
     """Run the training loop over a seeded shuffled pair schedule.
 
     Pairs cycle (reshuffled each epoch) until max_iters optimizer steps have
     run.  Checkpoints land in `out_dir` every `checkpoint_every` steps plus a
-    final `checkpoint_final.ckpt`.  Pass `resume` to continue a run, which
-    reproduces the uninterrupted run's remaining records exactly: a
-    checkpoint path, or the state `load_resume` already loaded and checked
-    from one (the training loop updates it in place).
+    final `checkpoint_final.ckpt`.  Pass `resume`, the state `load_resume`
+    loaded and checked from a checkpoint, to continue a run: it reproduces
+    the uninterrupted run's remaining records exactly (the training loop
+    updates that state in place).
     """
     if not corpus:
         raise ValueError("training corpus is empty")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     unet = UNet(cfg.unet)
-    if isinstance(resume, (str, os.PathLike)):
-        resume = load_resume(resume, cfg)
     if resume is not None:
         params, state = resume
     else:

@@ -564,6 +564,8 @@ def run_oracle_suite(seed: int) -> list[CheckResult]:
 
 
 def run_suite(name: str, seed: int, instances: int) -> list[CheckResult]:
+    if instances < 1:
+        raise ValueError("instances must be >= 1")
     if name == "gradcheck":
         return run_gradcheck_suite(seed, instances)
     if name == "oracles":

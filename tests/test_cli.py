@@ -329,6 +329,14 @@ class TestPretrainEval:
             assert capsys.readouterr().err.startswith("error: inlier_ratio_threshold must lie in (0, 1)")
             assert not os.path.exists(workdir / "ev")
 
+    def test_eval_infinite_inlier_distance_exits_1_before_the_out_dir(self, workdir, capsys):
+        # checked before the inputs, so none need exist
+        rc = cli.main(["eval", "--checkpoint", "none.ckpt", "--pairs", "none", "--out", "ev",
+                       "--inlier-distance", "inf"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: inlier_distance must be positive and finite")
+        assert not os.path.exists(workdir / "ev")
+
     def test_eval_reshaped_checkpoint_tensor_exits_2_before_the_out_dir(self, workdir, pairs_dir, capsys):
         _write_train(workdir / "train.ini", max_iters=1)
         cli.main(["pretrain", "--pairs", pairs_dir, "--config", "train.ini", "--out", "run"])
@@ -546,6 +554,13 @@ class TestVerifyCommand:
 
     def test_unknown_suite_is_validation_error(self, capsys):
         assert cli.main(["verify", "--suite", "bogus"]) == 1
+
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_instances_below_one_is_validation_error(self, instances, capsys):
+        assert cli.main(["verify", "--suite", "gradcheck", "--instances", instances]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: instances must be >= 1")
+        assert "PASS" not in captured.out
 
     def test_sign_flipped_conv_backward_fails_gradcheck(self, monkeypatch, capsys):
         true_backward = layers.conv_backward

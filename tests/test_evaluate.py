@@ -127,9 +127,15 @@ class TestFmr:
         assert summary["pairs"] == 3
         assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
 
+    def test_pair_ids_must_match_the_pairs(self, rng):
+        pairs = [_duplicate_pair(rng, 50) for _ in range(3)]
+        with pytest.raises(ValueError, match="2 pair ids for 3 pairs"):
+            feature_match_recall(pairs, coordinate_feature_fn(VOX), FmrConfig(), VOX, pair_ids=["a", "b"])
+
     def test_config_validation(self):
         # a hit ratio is at most 1, so a threshold of 1 or more would give FMR 0 by construction
         for key, value in [("inlier_distance", 0.0), ("inlier_distance", float("nan")),
+                           ("inlier_distance", float("inf")),
                            ("inlier_ratio_threshold", 0.0), ("inlier_ratio_threshold", 1.0),
                            ("inlier_ratio_threshold", 2.0), ("inlier_ratio_threshold", float("nan"))]:
             with pytest.raises(ValueError, match=key):

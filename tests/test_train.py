@@ -22,6 +22,7 @@ from pointpair.train import (
     TrainLogRecord,
     forward_backward,
     load_checkpoint,
+    load_resume,
     poly_lr,
     save_checkpoint,
     sgd_step,
@@ -186,7 +187,8 @@ class TestTrainLoop:
     def test_resume_reproduces_suffix_bitwise(self, small_corpus, tmp_path):
         cfg = TrainConfig.from_dict(_tiny_cfg(max_iters=6, seed=2).to_dict() | {"checkpoint_every": 3})
         full = train(small_corpus, cfg, out_dir=str(tmp_path / "full"))
-        resumed = train(small_corpus, cfg, resume=str(tmp_path / "full" / "checkpoint_0000003.ckpt"))
+        resume = load_resume(str(tmp_path / "full" / "checkpoint_0000003.ckpt"), cfg)
+        resumed = train(small_corpus, cfg, resume=resume)
         suffix = [r for r in full.records if r.iteration >= 3]
         assert [(r.iteration, r.lr, r.loss, r.collapse) for r in resumed.records] == [
             (r.iteration, r.lr, r.loss, r.collapse) for r in suffix
@@ -360,7 +362,7 @@ class TestCheckpoint:
             cfg.to_dict() | {"unet": UNetConfig(levels=1, channels=(4,), in_dim=1, out_dim=8).to_dict()}
         )
         with pytest.raises(FormatError):
-            train(small_corpus, other, resume=str(tmp_path / "checkpoint_final.ckpt"))
+            load_resume(str(tmp_path / "checkpoint_final.ckpt"), other)
 
     def test_resume_rejects_a_reshaped_tensor(self, small_corpus, tmp_path):
         cfg = _tiny_cfg(max_iters=1)
@@ -369,7 +371,7 @@ class TestCheckpoint:
         params["down0.kernel"] = params["down0.kernel"][:4]  # names alone still match
         save_checkpoint(str(tmp_path / "cut.ckpt"), params, echo, state)
         with pytest.raises(FormatError, match="'down0.kernel' has shape"):
-            train(small_corpus, cfg, resume=str(tmp_path / "cut.ckpt"))
+            load_resume(str(tmp_path / "cut.ckpt"), cfg)
 
     @pytest.mark.parametrize("change, key", [
         ({"seed": 3}, "'seed'"),
@@ -381,8 +383,7 @@ class TestCheckpoint:
         cfg = _tiny_cfg(max_iters=1)
         train(small_corpus, cfg, out_dir=str(tmp_path))
         with pytest.raises(ConfigError, match=key):
-            train(small_corpus, dataclasses.replace(cfg, **change),
-                  resume=str(tmp_path / "checkpoint_final.ckpt"))
+            load_resume(str(tmp_path / "checkpoint_final.ckpt"), dataclasses.replace(cfg, **change))
 
     def test_every_truncation_raises_format_error(self, small_corpus, tmp_path):
         unet = UNetConfig(levels=2, channels=(2, 3), kernel_size=1, in_dim=1, out_dim=2)
