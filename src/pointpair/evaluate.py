@@ -14,6 +14,7 @@ network feature source runs each such view once (`model_feature_fn`).
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 from dataclasses import dataclass
@@ -28,6 +29,8 @@ from .net.unet import UNet, UNetConfig
 from .net.params import ParameterSet
 from .pairs import ScenePair
 from .voxel import SparseVoxelTensor, collapse_matches_to_voxels, quantize
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,13 @@ def hit_ratio(
     return float(np.count_nonzero(err <= inlier_distance)) / src.shape[0]
 
 
+def _view2_diagonal(pair: ScenePair, voxel_size: float) -> float:
+    """Bounding-box diagonal of view 2's representative points, the points
+    whose distances `hit_ratio` measures."""
+    rep2 = pair.x2.points[quantize(pair.x2, voxel_size).first_points]
+    return float(np.linalg.norm(rep2.max(axis=0) - rep2.min(axis=0)))
+
+
 @dataclass
 class FmrReport:
     fmr: float
@@ -108,7 +118,12 @@ def feature_match_recall(
     voxel_size: float,
     pair_ids: list[str] | None = None,
 ) -> FmrReport:
-    """Evaluate `feature_fn(pair) -> (f1, f2)` over pairs in canonical order."""
+    """Evaluate `feature_fn(pair) -> (f1, f2)` over pairs in canonical order.
+
+    Logs one warning when `cfg.inlier_distance` is at least the
+    bounding-box diagonal of some pair's view-2 representative points: no
+    match of that pair can then miss, whatever the features.
+    """
     if not pairs:
         raise ValueError("no pairs to evaluate")
     ids = pair_ids if pair_ids is not None else [f"pair{i:04d}" for i in range(len(pairs))]
@@ -116,11 +131,21 @@ def feature_match_recall(
         raise ValueError(f"{len(ids)} pair ids for {len(pairs)} pairs")
     ratios = []
     flags = []
-    for pair in pairs:
+    vacuous = []  # ids of the pairs whose every match is a hit by the distance alone
+    for pair, pid in zip(pairs, ids):
         f1, f2 = feature_fn(pair)
         r = hit_ratio(pair, f1, f2, cfg.inlier_distance, voxel_size)
         ratios.append(r)
         flags.append(r > cfg.inlier_ratio_threshold)
+        # such a pair scores 1, so only those need the diagonal
+        if r == 1.0 and cfg.inlier_distance >= _view2_diagonal(pair, voxel_size):
+            vacuous.append(pid)
+    if vacuous:
+        log.warning(
+            "inlier distance %g m reaches the bounding-box diagonal of view 2 in %d of %d pairs "
+            "(first: %s): every match of those pairs is a hit, whatever the features",
+            cfg.inlier_distance, len(vacuous), len(pairs), vacuous[0],
+        )
     fmr = float(np.count_nonzero(flags)) / len(flags)
     return FmrReport(fmr, ratios, flags, list(ids))
 

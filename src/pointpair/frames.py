@@ -101,7 +101,10 @@ def read_frame(source) -> DepthFrame:
         fx, fy, cx, cy = read_struct(fh, "<4d", "frame intrinsics")
         pose = np.frombuffer(read_exact(fh, 128, "frame pose"), dtype="<f8").reshape(4, 4).copy()
         raw = read_exact(fh, 4 * h * w, "frame depth payload")
-    depth = np.frombuffer(raw, dtype="<f4").reshape(h, w).astype(np.float64)
+    # a signaling NaN sets the invalid flag when widened; it reads as any NaN,
+    # a pixel without depth
+    with np.errstate(invalid="ignore"):
+        depth = np.frombuffer(raw, dtype="<f4").reshape(h, w).astype(np.float64)
     with invalid_content("frame"):
         return DepthFrame(depth, fx, fy, cx, cy, pose)
 

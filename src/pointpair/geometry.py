@@ -215,8 +215,7 @@ def nearest_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-_OFFSETS = np.array([-1.0, 0.0, 1.0])
-_QUERY_BLOCK = 4096  # queries whose cell ranges are held at once
+_QUERY_BLOCK = 4096  # queries whose cell runs are held at once
 _MAX_CANDIDATES = 1 << 18  # (query, reference) distance rows held at once
 
 
@@ -225,16 +224,28 @@ class NeighborIndex:
 
     Cells are a little wider than `radius`, so every reference point within
     `radius` of a query lies in the 3x3x3 block of cells around the query's
-    cell.  Reference points are sorted by cell key, and a query gathers its
-    candidates from the sorted runs of that block.  Cell coordinates are
-    ranked per axis over the occupied values, so keys fit in int64 at any
-    ratio of cloud extent to radius.
+    cell.  A *dilated cell* is any cell within one cell, on every axis, of a
+    cell that holds a reference point.  The index enters each reference point
+    under the 27 dilated cells around its own and sorts the entries once, so
+    the candidates of each dilated cell form one run: the reference points of
+    the 27 cells around it.  A query ranks its cell on each axis and finds
+    its run with one binary search.  Cell coordinates are ranked per axis
+    over the dilated values, so keys fit in int64 at any ratio of cloud
+    extent to radius.
+
+    Memory (`nbytes`): 27 run entries per reference point, one int64 key and
+    one run start per dilated cell (entries and starts int32 below 2^31
+    entries), the coordinates and the per-axis values.  That is about 200
+    bytes per point on voxel-subsampled surface views (170 to 210 on the
+    benchmark scenes), and at most 528 per point plus 4 when no two points
+    share a dilated cell.  The build holds up to about 800 bytes per point
+    while it sorts.
 
     The index is immutable after construction; concurrent read-only queries
     are safe.
     """
 
-    __slots__ = ("radius", "_cell", "_axes", "_keys", "_order", "_xyz")
+    __slots__ = ("radius", "_cell", "_axes", "_keys", "_starts", "_refs", "_xyz")
 
     def __init__(self, pc: PointCloud, radius: float):
         radius = float(radius)
@@ -252,18 +263,42 @@ class NeighborIndex:
         self._axes = []
         ranks = []
         for k in range(3):
-            values, rank = np.unique(cells[:, k], return_inverse=True)
+            occupied = np.unique(cells[:, k])
+            values = np.unique(np.concatenate([occupied - 1.0, occupied, occupied + 1.0]))
             self._axes.append(values)
-            ranks.append(rank)
+            ranks.append(np.searchsorted(values, cells[:, k]))
         ny, nz = len(self._axes[1]), len(self._axes[2])
         if len(self._axes[0]) * ny * nz >= 2**63:
             raise ValueError("too many occupied cells for int64 cell keys")
         keys = (ranks[0] * ny + ranks[1]) * nz + ranks[2]
-        self._order = np.argsort(keys, kind="stable")
-        self._keys = keys[self._order]
-        self._xyz = pts[self._order].T.copy()
+        # c - 1, c and c + 1 are adjacent dilated values on every axis, so the
+        # 27 cells around a point's own lie at fixed key offsets from its key
+        d = np.arange(-1, 2)
+        offsets = ((d[:, None, None] * ny + d[None, :, None]) * nz + d).ravel()
+        order = np.argsort(keys, kind="stable")
+        # 27 sorted runs, one per offset, which the stable sort merges
+        entries = (offsets[:, None] + keys[order]).ravel()
+        perm = np.argsort(entries, kind="stable")
+        entries = entries[perm]
+        itype = np.int32 if entries.size < 2**31 else np.int64
+        self._refs = order.astype(itype)[np.remainder(perm, len(order), out=perm)]
+        first = np.flatnonzero(np.r_[True, entries[1:] != entries[:-1]])
+        self._keys = entries[first]
+        self._starts = np.append(first, entries.size).astype(itype)
+        self._xyz = pts.T.copy()
 
-    def nearest_many(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def __len__(self) -> int:
+        """Number of reference points."""
+        return self._xyz.shape[1]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the index's arrays."""
+        return sum(a.nbytes for a in (*self._axes, self._keys, self._starts, self._refs, self._xyz))
+
+    def nearest_many(
+        self, queries: np.ndarray, reached: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Nearest reference point within `radius` of every row of `queries`.
 
         Returns (indices, distances).  Distance is sqrt(dx*dx + dy*dy + dz*dz),
@@ -271,70 +306,73 @@ class NeighborIndex:
         lowest reference index.  A query with no point in range gets
         (-1, inf).  Results equal `brute_force_nearest` wherever it finds a
         point within `radius`, bit for bit.
+
+        `reached`, a boolean array with one entry per reference point, is
+        set True (never cleared) at every reference point within `radius` of
+        some query, so calls may OR into one array.  The distance test is the
+        same in both directions (a - b == -(b - a) exactly), so after a call
+        `reached` holds exactly the reference points whose own search over
+        `queries` would find a neighbour.
         """
         q = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
+        if reached is not None and (reached.dtype != np.bool_ or reached.shape != (len(self),)):
+            raise ValueError("reached must be a boolean array with one entry per reference point")
         idx = np.full(q.shape[0], -1, dtype=np.int64)
         dist = np.full(q.shape[0], np.inf)
         for s in range(0, q.shape[0], _QUERY_BLOCK):
             block = q[s : s + _QUERY_BLOCK]
             starts, counts = self._cell_runs(block)
-            ends = np.cumsum(counts.sum(axis=1))
+            ends = np.cumsum(counts)
             a = 0
             while a < block.shape[0]:
                 # as many queries as fit in _MAX_CANDIDATES, and at least one
                 base = ends[a - 1] if a else 0
                 e = max(a + 1, int(np.searchsorted(ends, base + _MAX_CANDIDATES, "right")))
-                self._resolve(block[a:e], starts[a:e], counts[a:e], idx[s + a : s + e], dist[s + a : s + e])
+                self._resolve(
+                    block[a:e], starts[a:e], counts[a:e], idx[s + a : s + e], dist[s + a : s + e], reached
+                )
                 a = e
         return idx, dist
 
     def _cell_runs(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Start and length of the runs of sorted reference points around
-        every query: one run per neighbouring (x, y) cell column, spanning
-        z cells c - 1 to c + 1 of the query's cell c.  Two (b, 9) arrays."""
+        """Start and length of the run of candidates of every query's cell,
+        two (b,) arrays; the length is 0 outside the dilated cells."""
         c = np.floor(q / self._cell)
-        ax, ay, az = self._axes
-        rx = _neighbour_ranks(ax, c[:, 0])
-        ry = _neighbour_ranks(ay, c[:, 1])
-        # z ranks of the occupied values in [c - 1, c + 1]: one contiguous key range
-        zlo = np.searchsorted(az, c[:, 2] - 1.0, "left")
-        zhi = np.searchsorted(az, c[:, 2] + 1.0, "right")
-        column = (rx[:, :, None] * len(ay) + ry[:, None, :]).reshape(-1, 9) * len(az)
-        lo = np.searchsorted(self._keys, column + zlo[:, None], "left")
-        hi = np.searchsorted(self._keys, column + zhi[:, None], "left")
-        occupied = ((rx >= 0)[:, :, None] & (ry >= 0)[:, None, :]).reshape(-1, 9)
-        return lo, np.where(occupied, hi - lo, 0)
+        key = np.zeros(q.shape[0], dtype=np.int64)
+        inside = np.ones(q.shape[0], dtype=bool)
+        for k, values in enumerate(self._axes):
+            r = np.minimum(np.searchsorted(values, c[:, k]), len(values) - 1)
+            inside &= values[r] == c[:, k]
+            key = key * len(values) + r
+        u = np.minimum(np.searchsorted(self._keys, key), len(self._keys) - 1)
+        inside &= self._keys[u] == key
+        lo = self._starts[u]
+        return lo, np.where(inside, self._starts[u + 1] - lo, 0)
 
-    def _resolve(self, q, starts, counts, out_idx, out_dist) -> None:
+    def _resolve(self, q, starts, counts, out_idx, out_dist, reached) -> None:
         """Exact winners for the queries `q` among their candidate runs."""
-        counts = counts.reshape(-1)
         total = int(counts.sum())
         if total == 0:
             return
-        owner = np.repeat(np.arange(q.shape[0]), counts.reshape(q.shape[0], -1).sum(axis=1))
-        pos = np.arange(total) + np.repeat(starts.reshape(-1) - (np.cumsum(counts) - counts), counts)
+        owner = np.repeat(np.arange(q.shape[0]), counts)
+        pos = np.arange(total) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        ref = self._refs[pos]
         px, py, pz = self._xyz
-        dx = px[pos] - q[owner, 0]
-        dy = py[pos] - q[owner, 1]
-        dz = pz[pos] - q[owner, 2]
+        dx = px[ref] - q[owner, 0]
+        dy = py[ref] - q[owner, 1]
+        dz = pz[ref] - q[owner, 2]
         sq = dx * dx + dy * dy + dz * dz
         ok = np.flatnonzero(np.sqrt(sq) <= self.radius)
         if ok.size == 0:
             return
-        owner, sq, ref = owner[ok], sq[ok], self._order[pos[ok]]
+        owner, sq, ref = owner[ok], sq[ok], ref[ok]
+        if reached is not None:
+            reached[ref] = True
         # per query: least squared distance, then lowest reference index
         win = np.lexsort((ref, sq, owner))
         first = win[np.r_[True, owner[win[1:]] != owner[win[:-1]]]]
         out_idx[owner[first]] = ref[first]
         out_dist[owner[first]] = np.sqrt(sq[first])
-
-
-def _neighbour_ranks(values: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Rank in `values` of c - 1, c and c + 1 for every c: shape (n, 3), -1 where absent."""
-    want = c[:, None] + _OFFSETS
-    r = np.searchsorted(values, want)
-    hit = values[np.minimum(r, len(values) - 1)] == want
-    return np.where(hit, r, -1)
 
 
 def build_index(pc: PointCloud, radius: float) -> NeighborIndex:

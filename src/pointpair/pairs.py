@@ -4,12 +4,14 @@ Overlap between two views is the symmetric minimum of the two directed
 inlier fractions (fraction of one view's points with a neighbor in the other
 view within a radius).  Correspondences take, for every point of the first
 view, its single nearest neighbor in the second view within the radius.
-Both come from radius-bounded searches (`geometry.NeighborIndex`): a point
-is within range when its distance is <= radius, and ties go to the lowest
-index.  `generate_pairs` indexes every view once and runs up to two
-directed searches per candidate pair; the x1 -> x2 search yields both the
-first inlier fraction and the matches, and the x2 -> x1 search runs only
-when that fraction reaches the threshold.
+Both come from one radius-bounded search of x1's points over an index of
+x2 (`geometry.NeighborIndex`): a point is within range when its distance is
+<= radius, and ties go to the lowest index.  That search yields the matches
+and the x1 -> x2 inlier fraction, and its `reached` mask, the x2 points
+within the radius of some x1 point, is exactly the x2 -> x1 inlier
+fraction, so no second search runs.  `generate_pairs` takes the later view
+of each candidate pair as the reference, indexes each view once when its
+turn as reference comes, and holds one index at a time.
 
 Pair file layout (little-endian):
     magic "PCPR" | PLY block (view 1) | PLY block (view 2)
@@ -28,7 +30,7 @@ import numpy as np
 from .config import ConfigMixin
 from .errors import EmptyViewError, FormatError, file_stream, invalid_content, read_exact, read_struct
 from .frames import DepthFrame, backproject
-from .geometry import PointCloud, build_index
+from .geometry import NeighborIndex, PointCloud, build_index
 from .ply import ply_bytes, read_ply
 from .voxel import quantize
 
@@ -101,12 +103,11 @@ class ScenePair:
 
 
 def compute_overlap(x1: PointCloud, x2: PointCloud, radius: float) -> float:
-    """Symmetric overlap ratio: min of the two directed inlier fractions."""
+    """Symmetric overlap ratio: min of the two directed inlier fractions,
+    from one index (over x2) and one search."""
     if not radius > 0:
         raise ValueError("radius must be positive")
-    j12, _ = build_index(x2, radius).nearest_many(x1.points)
-    j21, _ = build_index(x1, radius).nearest_many(x2.points)
-    return _overlap(j12, j21)
+    return _overlap_and_matches(build_index(x2, radius), x1)[0]
 
 
 def compute_correspondences(x1: PointCloud, x2: PointCloud, radius: float) -> CorrespondenceMap:
@@ -118,14 +119,14 @@ def compute_correspondences(x1: PointCloud, x2: PointCloud, radius: float) -> Co
     return _matches(j12)
 
 
-def _inlier_fraction(j: np.ndarray) -> float:
-    """Fraction of a directed search's queries with a neighbor (-1: none in range)."""
-    return float(np.count_nonzero(j >= 0)) / j.shape[0]
-
-
-def _overlap(j12: np.ndarray, j21: np.ndarray) -> float:
-    """Overlap from the neighbor indices of both directed searches."""
-    return min(_inlier_fraction(j12), _inlier_fraction(j21))
+def _overlap_and_matches(index2: NeighborIndex, x1: PointCloud) -> tuple[float, np.ndarray]:
+    """Overlap of x1 with the view `index2` was built over, and the neighbor
+    index in it of every x1 point (-1: none in range), from one search."""
+    reached = np.zeros(len(index2), dtype=bool)
+    j12, _ = index2.nearest_many(x1.points, reached)
+    inliers12 = float(np.count_nonzero(j12 >= 0)) / j12.shape[0]
+    inliers21 = float(np.count_nonzero(reached)) / reached.shape[0]
+    return min(inliers12, inliers21), j12
 
 
 def _matches(j12: np.ndarray) -> CorrespondenceMap:
@@ -154,6 +155,11 @@ def generate_pairs(
     with no valid pixels are skipped with a warning.  Output order is
     canonical: ascending (frame index a, frame index b) with a < b.  The
     parameters are `PairConfig`'s fields, with its defaults and bounds.
+
+    The reference view b is the outer loop: its index is built once, serves
+    one search of every earlier view a's points, and is dropped before the
+    next view's is built, so one index is alive at a time and each candidate
+    pair costs one search.
     """
     PairConfig(stride, overlap_threshold, radius, voxel_size)  # raises ValueError when one is out of range
     views: list[tuple[int, PointCloud]] = []
@@ -164,21 +170,18 @@ def generate_pairs(
             log.warning("frame %d has no valid pixels; skipped", fi)
             continue
         views.append((fi, subsample_view(view, voxel_size)))
-    indices = [build_index(v, radius) for _, v in views]
     pairs = []
-    for a in range(len(views)):
-        for b in range(a + 1, len(views)):
-            fa, va = views[a]
-            fb, vb = views[b]
-            j12, _ = indices[b].nearest_many(va.points)
-            if _inlier_fraction(j12) < overlap_threshold:
-                continue  # the overlap is the smaller fraction: rejected already
-            j21, _ = indices[a].nearest_many(vb.points)
-            ov = _overlap(j12, j21)
+    for b in range(1, len(views)):
+        fb, vb = views[b]
+        index = build_index(vb, radius)
+        for fa, va in views[:b]:
+            ov, j12 = _overlap_and_matches(index, va)
             if ov >= overlap_threshold:  # > 0, so x1 has at least one match
                 pairs.append(
                     ScenePair(va, vb, _matches(j12), ov, scene_id=scene_id, frame_ids=(fa, fb))
                 )
+        del index  # before the next view's is built
+    pairs.sort(key=lambda p: p.frame_ids)
     return pairs
 
 

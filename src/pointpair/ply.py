@@ -120,8 +120,10 @@ def _read_ply_stream(fh) -> PointCloud:
     width = len(props)
     raw = read_exact(fh, 4 * width * n_points, "PLY payload")
     rows = np.frombuffer(raw, dtype="<f4").reshape(n_points, width)
-    points = rows[:, :3].astype(np.float64)
-    features = rows[:, 3:].astype(np.float64) if width > 3 else None
+    # a signaling NaN sets the invalid flag when widened; PointCloud rejects it as any NaN
+    with np.errstate(invalid="ignore"):
+        points = rows[:, :3].astype(np.float64)
+        features = rows[:, 3:].astype(np.float64) if width > 3 else None
     with invalid_content("PLY point cloud"):
         return PointCloud(points, features)
 

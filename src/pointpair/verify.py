@@ -439,19 +439,26 @@ def run_gradcheck_suite(seed: int, instances: int) -> list[CheckResult]:
 
 
 def _check_nn_oracle(rng: np.random.Generator, clouds: int = 20, queries: int = 50) -> CheckResult:
-    """The radius-bounded index against the exhaustive scan cut at the radius."""
+    """The radius-bounded index against the exhaustive scan cut at the radius,
+    and its `reached` mask against the exhaustive scan from every reference
+    point over the queries."""
     for _ in range(clouds):
         n = int(rng.integers(1, 800))
         pc = PointCloud(rng.uniform(-2, 2, (n, 3)))
         radius = float(rng.uniform(0.05, 1.0))
         qs = rng.uniform(-2.5, 2.5, (queries, 3))
-        got_i, got_d = build_index(pc, radius).nearest_many(qs)
+        reached = np.zeros(n, dtype=bool)
+        got_i, got_d = build_index(pc, radius).nearest_many(qs, reached)
         for q, gi, gd in zip(qs, got_i, got_d):
             wi, wd = brute_force_nearest(pc, q)
             want = (wi, wd) if wd <= radius else (-1, float("inf"))
             if (int(gi), float(gd)) != want:
                 return CheckResult("oracle.nearest_neighbor", False, f"{(gi, gd)} != {want}")
-    return CheckResult("oracle.nearest_neighbor", True, f"{clouds} clouds x {queries} queries")
+        want_reached = oracle_min_dists(pc.points, qs)[1] <= radius
+        if not np.array_equal(reached, want_reached):
+            wrong = int(np.count_nonzero(reached != want_reached))
+            return CheckResult("oracle.nearest_neighbor", False, f"reached mask wrong at {wrong} of {n} points")
+    return CheckResult("oracle.nearest_neighbor", True, f"{clouds} clouds x {queries} queries, with reached masks")
 
 
 def _check_matching_oracles(rng: np.random.Generator, pairs: int = 20) -> CheckResult:

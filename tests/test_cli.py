@@ -2,6 +2,8 @@ import io
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -317,6 +319,22 @@ class TestPretrainEval:
         assert rc == 0
         out = capsys.readouterr().out
         assert "random-init FMR" in out and "delta" in out
+
+    def test_eval_warns_when_the_inlier_distance_makes_every_match_a_hit(self, workdir, pairs_dir):
+        _write_train(workdir / "train.ini", max_iters=1)
+        cli.main(["pretrain", "--pairs", pairs_dir, "--config", "train.ini", "--out", "run"])
+        # a fresh interpreter, so the warning reaches stderr as the console script prints it
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(
+            [sys.executable, "-m", "pointpair.cli", "eval", "--checkpoint", "run/checkpoint_final.ckpt",
+             "--pairs", pairs_dir, "--out", "ev", "--features", "random", "--inlier-distance", "1e3"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("FMR 1.0000")
+        assert "inlier distance 1000 m reaches the bounding-box diagonal of view 2" in run.stderr
+        assert json.loads((workdir / "ev" / "eval_summary.json").read_text())["fmr"] == 1.0
 
     def test_eval_inlier_ratio_of_one_or_more_exits_1_before_the_out_dir(self, workdir, pairs_dir, capsys):
         _write_train(workdir / "train.ini", max_iters=1)

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 
 import numpy as np
@@ -126,6 +127,27 @@ class TestFmr:
         assert summary["fmr"] == 1.0
         assert summary["pairs"] == 3
         assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+
+    def test_warns_once_when_the_distance_makes_every_match_a_hit(self, rng, caplog):
+        pairs = [_duplicate_pair(rng, 150) for _ in range(3)]
+        random_fn = random_feature_fn(8, 7, VOX)
+        with caplog.at_level(logging.WARNING, logger="pointpair.evaluate"):
+            report = feature_match_recall(pairs, random_fn, FmrConfig(inlier_distance=1e3), VOX)
+            assert report.fmr == 1.0
+            assert [r.levelno for r in caplog.records] == [logging.WARNING]
+            assert "in 3 of 3 pairs (first: pair0000)" in caplog.records[0].getMessage()
+            caplog.clear()
+            # at the default distance, random features miss and spatial ones hit: no warning
+            feature_match_recall(pairs, random_fn, FmrConfig(), VOX)
+            feature_match_recall(pairs, coordinate_feature_fn(VOX), FmrConfig(), VOX)
+            assert caplog.records == []
+            # the bound is the diagonal of view 2's representative points
+            rep2 = pairs[0].x2.points[quantize(pairs[0].x2, VOX).first_points]
+            diagonal = float(np.linalg.norm(rep2.max(axis=0) - rep2.min(axis=0)))
+            feature_match_recall(pairs[:1], coordinate_feature_fn(VOX), FmrConfig(np.nextafter(diagonal, 0)), VOX)
+            assert caplog.records == []
+            feature_match_recall(pairs[:1], coordinate_feature_fn(VOX), FmrConfig(diagonal), VOX)
+            assert len(caplog.records) == 1
 
     def test_pair_ids_must_match_the_pairs(self, rng):
         pairs = [_duplicate_pair(rng, 50) for _ in range(3)]

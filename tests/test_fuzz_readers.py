@@ -103,6 +103,7 @@ def _tensor(dims, payload: bytes = b"") -> bytes:
 _FRAME = _frame_bytes()
 _PLY = ply_bytes(PointCloud(np.eye(3)))
 _NAN_F4 = np.array([np.nan], dtype="<f4").tobytes()
+_SNAN_F4 = struct.pack("<I", 0x7F800001)  # a signaling NaN: widening it sets the invalid flag
 
 # Well-formed layouts whose values the types reject: each raised ValueError
 # out of the reader before the reader wrapped it.
@@ -114,6 +115,7 @@ INVALID_CONTENT = {
     "pair_overlap_above_one": ("pair", b"PCPR" + _PLY + _PLY + struct.pack("<Q2Id", 1, 0, 0, 2.0)),
     "ply_no_vertices": ("ply", _ply_header(0)),
     "ply_nan_coordinate": ("ply", _ply_header(1) + _NAN_F4 + bytes(8)),
+    "ply_signaling_nan_coordinate": ("ply", _ply_header(1) + _SNAN_F4 + bytes(8)),
     "params_zero_and_huge_dims": ("params", _params_blob(b"{}", _tensor((2**57, 2**57, 0)))),
     "params_nan_value": ("params", _params_blob(b"{}", _tensor((1,), struct.pack("<d", np.nan)))),
     "params_deeply_nested_json": ("params", _params_blob(b"[" * 100_000, b"")),
@@ -126,6 +128,11 @@ def test_invalid_content_raises_format_error(case):
     reader, _ = READERS[kind]
     with pytest.raises(FormatError):
         reader(blob)
+
+
+def test_signaling_nan_depth_reads_as_a_pixel_without_depth():
+    frame = read_frame(io.BytesIO(_FRAME[:-4] + _SNAN_F4))
+    assert np.isnan(frame.depth[-1, -1])
 
 
 @st.composite

@@ -146,6 +146,15 @@ class TestNeighborIndex:
             found, dist = idx.nearest_many(queries)
             assert list(zip(found.tolist(), dist.tolist())) == [brute_force_nearest(pc, q) for q in queries]
 
+    def test_bytes_per_point_are_bounded(self, rng):
+        # a surface at the radius's spacing, as voxel-subsampled views are
+        ax = np.arange(60) * 0.025
+        plane = np.stack(np.meshgrid(ax, ax, [0.0], indexing="ij"), axis=-1).reshape(-1, 3)
+        assert build_index(PointCloud(plane), 0.025).nbytes <= 200 * len(plane)
+        # scattered points, no two in one dilated cell: the documented bound
+        scattered = rng.uniform(-1, 1, (2000, 3))
+        assert build_index(PointCloud(scattered), 1e-4).nbytes <= 528 * len(scattered) + 4
+
     def test_build_is_pure(self, rng):
         pc = PointCloud(rng.uniform(-1, 1, (300, 3)))
         a, b = NeighborIndex(pc, 0.3), NeighborIndex(pc, 0.3)
@@ -163,6 +172,13 @@ def _bounded_oracle(pts, queries, radius):
     idx = np.array([i if d <= radius else -1 for i, d in out], dtype=np.int64)
     dist = np.array([d if d <= radius else np.inf for _, d in out])
     return idx, dist
+
+
+def _reached_oracle(pts, queries, radius):
+    """Per reference point: whether some query lies within `radius`, by
+    `brute_force_nearest` over the queries."""
+    qc = PointCloud(queries)
+    return np.array([brute_force_nearest(qc, p)[1] <= radius for p in pts], dtype=bool)
 
 
 def _assert_bounded_exact(pts, queries, radius):
@@ -193,6 +209,40 @@ class TestRadiusBoundedSearch:
         pts = np.vstack([ref, np.negative(ref)]).astype(np.float64) * step + offset
         queries = np.vstack([np.array(qry, dtype=np.float64) * step, free * step]) + offset
         _assert_bounded_exact(pts, queries, radius_steps * step)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ref=_lattice,
+        first=_lattice,
+        second=_lattice,
+        step=st.sampled_from([0.025, 0.05, 0.25, 1.0 / 3.0]),
+        offset=st.sampled_from([0.0, 16.0, -16.0, 15.9875]),
+        radius_steps=st.sampled_from([0.0, 0.5, 1.0, 2**0.5, 3**0.5, 2.0, 2.7]),
+        blocks=st.sampled_from([None, (1, 1), (3, 8), (7, 100)]),
+    )
+    def test_reached_matches_brute_force(self, ref, first, second, step, offset, radius_steps, blocks):
+        # lattice distances of exactly the radius along an axis or a diagonal,
+        # mirrored copies in different cells, and two calls ORing into one mask
+        pts = np.vstack([ref, np.negative(ref)]).astype(np.float64) * step + offset
+        q1, q2 = (np.array(q, dtype=np.float64) * step + offset for q in (first, second))
+        radius = radius_steps * step
+        reached = np.zeros(len(pts), dtype=bool)
+        with pytest.MonkeyPatch.context() as mp:
+            if blocks is not None:
+                mp.setattr(geometry, "_QUERY_BLOCK", blocks[0])
+                mp.setattr(geometry, "_MAX_CANDIDATES", blocks[1])
+            index = build_index(PointCloud(pts), radius)
+            index.nearest_many(q1, reached)
+            want = _reached_oracle(pts, q1, radius)
+            np.testing.assert_array_equal(reached, want)
+            index.nearest_many(q2, reached)
+        np.testing.assert_array_equal(reached, want | _reached_oracle(pts, q2, radius))
+
+    def test_reached_must_fit_the_reference_points(self):
+        index = build_index(PointCloud(np.zeros((3, 3))), 0.1)
+        for bad in (np.zeros(2, dtype=bool), np.zeros(3), np.zeros((3, 1), dtype=bool)):
+            with pytest.raises(ValueError):
+                index.nearest_many(np.zeros((1, 3)), bad)
 
     @pytest.mark.parametrize("offset", [0.0, 16.0, -16.0])
     def test_exactly_radius_apart_is_included(self, offset):

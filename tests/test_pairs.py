@@ -1,8 +1,10 @@
 import io
+import weakref
 
 import numpy as np
 import pytest
 
+from pointpair import pairs as pairs_module
 from pointpair.errors import FormatError
 from pointpair.frames import DepthFrame, SyntheticSceneSpec, backproject, synthesize_scene
 from pointpair.geometry import (
@@ -129,20 +131,34 @@ class TestGeneratePairs:
         assert pairs == []
 
     def test_below_threshold_candidate_runs_one_search(self, monkeypatch):
-        searches = []
+        # every candidate, kept or rejected, costs one search; every view but
+        # the first is indexed once, and one index is alive at a time
+        built, alive_at_search = [], []
         nearest_many = NeighborIndex.nearest_many
 
+        class TrackedIndex(NeighborIndex):
+            __slots__ = ("__weakref__",)
+
+        def tracked_build(pc, radius):
+            index = TrackedIndex(pc, radius)
+            built.append(weakref.ref(index))
+            return index
+
         def counting(index, queries, *args, **kwargs):
-            searches.append(len(queries))
+            alive_at_search.append(sum(ref() is not None for ref in built))
             return nearest_many(index, queries, *args, **kwargs)
 
+        monkeypatch.setattr(pairs_module, "build_index", tracked_build)
         monkeypatch.setattr(NeighborIndex, "nearest_many", counting)
         kw = dict(stride=1, overlap_threshold=0.3, radius=0.05, voxel_size=0.05)
         assert generate_pairs([self._flat_frame(), self._flat_frame(shift=500.0)], **kw) == []
-        assert len(searches) == 1  # x1 -> x2 finds nothing; x2 -> x1 cannot change that
-        searches.clear()
-        assert len(generate_pairs([self._flat_frame(), self._flat_frame()], **kw)) == 1
-        assert len(searches) == 2
+        assert (len(built), alive_at_search) == (1, [1])
+        built.clear()
+        alive_at_search.clear()
+        frames = [self._flat_frame(), self._flat_frame(shift=500.0), self._flat_frame(), self._flat_frame()]
+        pairs = generate_pairs(frames, **kw)
+        assert [p.frame_ids for p in pairs] == [(0, 2), (0, 3), (2, 3)]
+        assert (len(built), alive_at_search) == (3, [1] * 6)
 
     def test_stride_selects_frames(self):
         frames = [self._flat_frame(), self._flat_frame(500.0), self._flat_frame()]
@@ -158,12 +174,22 @@ class TestGeneratePairs:
         pairs = generate_pairs(frames, stride=1, overlap_threshold=0.3,
                                radius=0.05, voxel_size=0.05)
         views = [subsample_view(backproject(f), 0.05) for f in frames]
-        expected = 0
+        emitted = {p.frame_ids: p for p in pairs}
+        assert [p.frame_ids for p in pairs] == sorted(emitted)
         for a in range(6):
             for b in range(a + 1, 6):
-                if oracle_overlap(views[a], views[b], 0.05) >= 0.3:
-                    expected += 1
-        assert len(pairs) == expected
+                overlap = oracle_overlap(views[a], views[b], 0.05)
+                if (a, b) not in emitted:
+                    assert overlap < 0.3
+                    continue
+                p = emitted[(a, b)]
+                np.testing.assert_array_equal(p.x1.points, views[a].points)
+                np.testing.assert_array_equal(p.x2.points, views[b].points)
+                assert p.overlap == overlap
+                np.testing.assert_array_equal(
+                    p.correspondences.matches, oracle_correspondences(views[a], views[b], 0.05)
+                )
+        assert 0 < len(pairs) < 15
 
     def test_emitted_pairs_revalidate(self):
         spec = SyntheticSceneSpec(seed=4, n_boxes=5, n_planes=1, density=1500.0,
