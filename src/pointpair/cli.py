@@ -14,10 +14,13 @@ work (`pairgen` once its pairs are generated, before the first pair file);
 it records the environment the run's numbers depend on (Python, numpy,
 platform, BLAS build, BLAS thread settings and the network's compute dtype).
 A missing input path (`--frames`, `--pairs`, `--resume`, `--checkpoint`), an
-input directory without a frame or pair file, and a flag or config value out
-of range are validation errors raised before the output directory is
-created.  Also before it, `eval` and `pretrain --resume` reject a
-checkpoint whose tensors do not fit its network (a format error), and
+input directory without a frame or pair file, an `--out` of the wrong kind
+(a file where a directory goes, a directory or a missing parent directory
+where a file goes, or a `synth` or `pairgen` directory that already holds
+frame or pair files), and a flag or config value out of range are
+validation errors raised before the output directory is created.  Also
+before it, `eval` and `pretrain --resume` reject a checkpoint whose
+tensors do not fit its network (a format error), and
 `pretrain --resume` one whose config echo differs from the config (a
 validation error).  Every output file is written through
 `errors.file_stream`: to a temporary name that is renamed over the target on
@@ -98,6 +101,20 @@ def _input_files(flag: str, directory: str, suffix: str) -> list[str]:
     return names
 
 
+def _require_out_dir(out: str, earlier: tuple[str, str] | None = None) -> None:
+    """Reject an --out that is, or lies under, a file that is not a directory
+    and, given `earlier` = (suffix, kind), one that already holds such files,
+    which the run's own would mix with.  A validation error; call before any
+    work."""
+    existing = os.path.normpath(out)
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        raise ConfigError(f"--out: '{existing}' exists and is not a directory")
+    if earlier and os.path.isdir(out) and any(f.endswith(earlier[0]) for f in os.listdir(out)):
+        raise ConfigError(f"--out: '{out}' already holds {earlier[1]} files; use a directory without them")
+
+
 def _write_manifest(out_dir: str, command: str, config_echo: dict, seed, artifacts: list[str]) -> None:
     os.makedirs(out_dir, exist_ok=True)
     write_json(
@@ -114,18 +131,11 @@ def _write_manifest(out_dir: str, command: str, config_echo: dict, seed, artifac
     )
 
 
-def load_train_config(path: str) -> TrainConfig:
-    return TrainConfig.from_ini(path, "train")
-
-
-def load_scene_spec(path: str) -> SyntheticSceneSpec:
-    return SyntheticSceneSpec.from_ini(path, "scene")
-
-
 def cmd_synth(args) -> int:
-    spec = load_scene_spec(args.spec)
+    spec = SyntheticSceneSpec.from_ini(args.spec, "scene")
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
+    _require_out_dir(args.out, (".pcfd", "frame"))
     names = [f"frame_{i:04d}.pcfd" for i in range(spec.n_cameras)]
     _write_manifest(args.out, "synth", spec.to_dict() | {"spec_file": args.spec}, spec.seed, names)
     frames = synthesize_scene(spec)
@@ -137,9 +147,8 @@ def cmd_synth(args) -> int:
 
 def cmd_pairgen(args) -> int:
     cfg = PairConfig(args.stride, args.threshold, args.radius, args.voxel_size)
+    _require_out_dir(args.out, (".pcpr", "pair"))
     frame_files = _input_files("--frames", args.frames, ".pcfd")
-    if os.path.isdir(args.out) and any(f.endswith(".pcpr") for f in os.listdir(args.out)):
-        raise ConfigError(f"'{args.out}' already holds pair files; pairgen needs an --out without them")
     frames = [read_frame(os.path.join(args.frames, f)) for f in frame_files]
     pairs = generate_pairs(frames, **cfg.to_dict(), scene_id=os.path.basename(os.path.normpath(args.frames)))
     # only now: whether the views fit the voxel grid depends on the frames' extent
@@ -155,9 +164,10 @@ def _load_pairs(pairs_dir: str, files: list[str]):
 
 
 def cmd_pretrain(args) -> int:
-    cfg = load_train_config(args.config)
+    cfg = TrainConfig.from_ini(args.config, "train")
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
+    _require_out_dir(args.out)
     resume = None
     if args.resume is not None:
         _require_input("--resume", args.resume, directory=False)
@@ -177,6 +187,7 @@ def cmd_pretrain(args) -> int:
 
 def cmd_eval(args) -> int:
     fmr_cfg = FmrConfig(args.inlier_distance, args.inlier_ratio)
+    _require_out_dir(args.out)
     _require_input("--checkpoint", args.checkpoint, directory=False)
     params, echo, _ = load_checkpoint(args.checkpoint)
     cfg = TrainConfig.from_dict(echo)
@@ -221,6 +232,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_template(args) -> int:
+    if os.path.isdir(args.out):
+        raise ConfigError(f"--out: '{args.out}' is a directory")
+    parent = os.path.dirname(args.out) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"--out: no such directory '{parent}'")
     cfg = TrainConfig() if args.kind == "train" else SyntheticSceneSpec()
     with file_stream(args.out, "w") as fh:
         fh.write(cfg.to_ini(args.kind))

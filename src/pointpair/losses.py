@@ -123,12 +123,22 @@ def subsample_matches(
     return MatchBatch(f1_all[i], f2_all[j], i.copy(), j.copy())
 
 
+def _unit_rows(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows scaled to unit Euclidean norm, the norms divided by, the zero-row
+    mask): a zero row divides by 1 and stays zero."""
+    norms = np.linalg.norm(features, axis=1, keepdims=True)
+    zero = norms <= 0.0
+    if zero.any():
+        norms = np.where(zero, 1.0, norms)
+    return features / norms, norms, zero
+
+
 def l2_normalize_rows(features: np.ndarray) -> np.ndarray:
     """Scale every row to unit Euclidean norm; zero rows are an error."""
-    norms = np.linalg.norm(features, axis=1, keepdims=True)
-    if np.any(norms <= 0.0):
+    unit, _, zero = _unit_rows(features)
+    if zero.any():
         raise ValueError("cannot L2-normalize a zero feature row")
-    return features / norms
+    return unit
 
 
 def l2_normalize_rows_with_grad(features: np.ndarray):
@@ -138,11 +148,7 @@ def l2_normalize_rows_with_grad(features: np.ndarray):
     cannot stop a training step or an evaluation (`l2_normalize_rows`
     raises on them instead).
     """
-    norms = np.linalg.norm(features, axis=1, keepdims=True)
-    zero = norms <= 0.0
-    if zero.any():
-        norms = np.where(zero, 1.0, norms)
-    unit = features / norms
+    unit, norms, zero = _unit_rows(features)
 
     def vjp(d_unit: np.ndarray) -> np.ndarray:
         # d_raw = (d_unit - unit * <unit, d_unit>) / norm
@@ -348,8 +354,7 @@ def collapse_metric(features: np.ndarray) -> float:
     Zero exactly when all rows coincide after normalization (the mode-collapse
     signature); zero rows are left at zero rather than raising.
     """
-    norms = np.linalg.norm(features, axis=1, keepdims=True)
-    unit = np.divide(features, norms, out=np.zeros_like(features), where=norms > 0)
+    unit, _, _ = _unit_rows(features)
     # shifting by the first row leaves the std unchanged but makes the
     # identical-rows case exactly zero instead of mean-rounding noise
     return float((unit - unit[0]).std(axis=0).mean())

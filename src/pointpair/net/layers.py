@@ -194,17 +194,22 @@ def conv_grads(
     return d_in, d_kernel
 
 
-@dataclass
-class ConvTape:
-    maps: OffsetMaps
-    feats_in: np.ndarray
-    kernel: np.ndarray
-    used: bool = False
+class SingleUse:
+    """The guard every tape shares: one backward pass may consume it."""
+
+    used = False
 
     def consume(self) -> None:
         if self.used:
-            raise RuntimeError("tape already consumed by a backward pass")
+            raise RuntimeError(f"{type(self).__name__} already consumed by a backward pass")
         self.used = True
+
+
+@dataclass
+class ConvTape(SingleUse):
+    maps: OffsetMaps
+    feats_in: np.ndarray
+    kernel: np.ndarray
 
 
 def conv_forward(
@@ -257,18 +262,12 @@ class BnStats:
 
 
 @dataclass
-class BnTape:
+class BnTape(SingleUse):
     mode: str
     xhat: np.ndarray
     inv_std: np.ndarray
     gamma: np.ndarray
     stats: BnStats | None = None  # None in eval mode
-    used: bool = False
-
-    def consume(self) -> None:
-        if self.used:
-            raise RuntimeError("tape already consumed by a backward pass")
-        self.used = True
 
 
 def batch_norm_forward(
@@ -323,15 +322,6 @@ def batch_norm_backward(tape: BnTape, d_out: np.ndarray) -> tuple[np.ndarray, np
         d_xhat *= tape.inv_std / n
         return d_xhat, d_gamma, d_beta
     return d_xhat * tape.inv_std, d_gamma, d_beta
-
-
-def updated_running_stats(
-    stats: BnStats, running_mean: np.ndarray, running_var: np.ndarray, momentum: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exponential moving average update from one call's batch statistics."""
-    new_mean = (1.0 - momentum) * running_mean + momentum * stats.mean
-    new_var = (1.0 - momentum) * running_var + momentum * stats.var_unbiased
-    return new_mean, new_var
 
 
 def relu_forward(feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,24 +1,21 @@
 """Flat named-tensor registries for network weights and gradients, plus the
-binary parameter file format.
+tensor-section codec that `train.save_checkpoint`/`load_checkpoint` use for
+every tensor of a checkpoint (the file layout is documented there).
 
-Parameter file layout (little-endian):
-    magic "PCCK" | u32 config JSON length | config JSON (utf-8)
-    | u32 tensor count | tensors sorted by name, each as
-      u16 name length | name (utf-8) | u8 rank | u64 dims... | f64 data
+Tensor section (little-endian):
+    u32 tensor count | tensors sorted by name, each as
+    u16 name length | name (utf-8) | u8 rank | u64 dims... | f64 data
 """
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import FormatError, file_stream, invalid_content, read_exact, read_struct
-
-_PARAMS_MAGIC = b"PCCK"
+from ..errors import FormatError, invalid_content, read_exact, read_struct
 
 # BatchNorm running statistics are state, not weights: the optimizer must
 # never touch them.
@@ -37,7 +34,7 @@ class ParameterSet:
 
     def add(self, name: str, value: np.ndarray) -> None:
         if name in self.tensors:
-            raise ValueError(f"duplicate parameter name '{name}'")
+            raise ValueError(f"duplicate tensor name '{name}'")
         self.tensors[name] = np.asarray(value, dtype=np.float64)
 
     def __getitem__(self, name: str) -> np.ndarray:
@@ -66,7 +63,9 @@ class ParameterSet:
 
 
 class GradientSet(ParameterSet):
-    """Gradient registry, shape-congruent with its ParameterSet."""
+    """Gradient registry, shape-congruent with its ParameterSet.  A backward
+    pass writes each trainable tensor's gradient once, with `add`: no weight
+    is shared, so a second write of one name is a bug and raises."""
 
     @classmethod
     def zeros_like(cls, params: ParameterSet) -> "GradientSet":
@@ -76,9 +75,6 @@ class GradientSet(ParameterSet):
             if is_trainable(name):
                 g.add(name, np.zeros_like(t))
         return g
-
-    def accumulate(self, name: str, value: np.ndarray) -> None:
-        self.tensors[name] += value
 
     def add_scaled(self, other: "GradientSet", scale: float = 1.0) -> None:
         for name, t in other.tensors.items():
@@ -118,30 +114,3 @@ def write_tensor_section(fh, tensors: dict[str, np.ndarray]) -> None:
 def read_tensor_section(fh) -> dict[str, np.ndarray]:
     (count,) = read_struct(fh, "<I", "tensor count")
     return dict(_read_tensor(fh) for _ in range(count))
-
-
-def save_params(target, params: ParameterSet, config_echo: dict) -> None:
-    """Write a PCCK parameter file (config echo as JSON, tensors by name)."""
-    blob = json.dumps(config_echo, sort_keys=True).encode("utf-8")
-    with file_stream(target, "wb") as fh:
-        fh.write(_PARAMS_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        write_tensor_section(fh, params.tensors)
-
-
-def load_params(source) -> tuple[ParameterSet, dict]:
-    with file_stream(source, "rb") as fh:
-        if fh.read(4) != _PARAMS_MAGIC:
-            raise FormatError("bad parameter file magic; expected PCCK")
-        (blob_len,) = read_struct(fh, "<I", "config length")
-        try:
-            config_echo = json.loads(read_exact(fh, blob_len, "config JSON"))
-        except (ValueError, RecursionError) as exc:  # also JSONDecodeError, UnicodeDecodeError
-            raise FormatError(f"config JSON is malformed: {exc}") from exc
-        if not isinstance(config_echo, dict):
-            raise FormatError(f"config JSON is not an object: {type(config_echo).__name__}")
-        params = ParameterSet(read_tensor_section(fh))
-    with invalid_content("parameter file"):
-        params.validate_finite()
-    return params, config_echo

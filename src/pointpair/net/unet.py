@@ -29,11 +29,12 @@ the gradients, the BN running statistics and the checkpoints stay float64
 master copies.  `UNet.forward` casts the input features and every parameter
 once per call and returns its output features in that dtype, so the losses
 and the eval search downstream run in float32 too.  `UNet.backward`
-casts the incoming gradient to the tape's dtype and accumulates the
-parameter gradients into a float64 `GradientSet`; `commit_bn_stats` folds
-the float32 batch statistics into the float64 running statistics.  A
-forward with `dtype=np.float64` runs every layer, and so everything
-downstream, in float64, which the gradient checks use.
+casts the incoming gradient to the tape's dtype and writes each trainable
+tensor's gradient once (no weight is shared), as float64, into a fresh
+`GradientSet`; `commit_bn_stats` folds the float32 batch statistics into
+the float64 running statistics.  A forward with `dtype=np.float64` runs
+every layer, and so everything downstream, in float64, which the gradient
+checks use.
 
 The output coordinate set always equals the input coordinate set, row for
 row.  Forward passes never mutate the parameter registry; batch-norm batch
@@ -58,6 +59,7 @@ from .layers import (
     ConvTape,
     CoordContext,
     OffsetMaps,
+    SingleUse,
     batch_norm_backward,
     batch_norm_forward,
     conv_backward,
@@ -67,7 +69,6 @@ from .layers import (
     relu_forward,
     stride2_maps,
     swap_maps,
-    updated_running_stats,
 )
 from .params import GradientSet, ParameterSet, is_trainable
 
@@ -165,9 +166,9 @@ class ConvBn:
             d_out = relu_backward(tape.relu_mask, d_out)
         d_pre, d_gamma, d_beta = batch_norm_backward(tape.bn, d_out)
         d_in, d_kernel = conv_backward(tape.conv, d_pre)
-        grads.accumulate(self.kernel_key, d_kernel)
-        grads.accumulate(self.gamma_key, d_gamma)
-        grads.accumulate(self.beta_key, d_beta)
+        grads.add(self.kernel_key, d_kernel)
+        grads.add(self.gamma_key, d_gamma)
+        grads.add(self.beta_key, d_beta)
         return d_in
 
     def bn_stats(self, tape: ConvBnTape):
@@ -209,7 +210,7 @@ class ResidualBlock:
         if tape.shortcut is None:
             return d_in + d_sum
         d_sc_in, d_ks = conv_backward(tape.shortcut, d_sum)
-        grads.accumulate(self.shortcut_key, d_ks)
+        grads.add(self.shortcut_key, d_ks)
         return d_in + d_sc_in
 
     def bn_stats(self, tape: BlockTape):
@@ -218,19 +219,13 @@ class ResidualBlock:
 
 
 @dataclass
-class UNetTape:
+class UNetTape(SingleUse):
     """Everything the backward pass and the BN-stat commit need; single use."""
 
     ctxs: list[CoordContext]
     units: dict[str, ConvBnTape | BlockTape]  # by unit name, in forward order; {} in eval mode
     head: ConvTape | None  # None in eval mode
     bn_stats: list[tuple[str, str, BnStats]]  # train mode only; no tape arrays
-    used: bool = False
-
-    def consume(self) -> None:
-        if self.used:
-            raise RuntimeError("network tape already consumed")
-        self.used = True
 
 
 class UNet:
@@ -339,19 +334,17 @@ class UNet:
         """Exact adjoint of forward: gradient registry plus input-feature grads.
         The kernels are read from the tape.  `d_out` is cast to the dtype the
         forward ran in, and the input-feature grads come back in it; the
-        parameter gradients are float64."""
+        parameter gradients are float64, one per trainable tensor."""
         if tape.head is None:
             raise ValueError("an eval-mode tape records no activations to run backward on")
         tape.consume()
         d_out = d_out.astype(tape.head.kernel.dtype, copy=False)
         cfg = self.cfg
-        grads = GradientSet(
-            {name: np.zeros(shape) for name, shape in self.param_specs() if is_trainable(name)}
-        )
+        grads = GradientSet()
         back = lambda unit, d: unit.backward(tape.units[unit.name], d, grads)  # noqa: E731
 
         d_x, d_head = conv_backward(tape.head, d_out)
-        grads.accumulate(self.head_key, d_head)
+        grads.add(self.head_key, d_head)
         pending_skip: dict[int, np.ndarray] = {}
         for l in range(cfg.levels - 1):
             for blk in reversed(self.dec_blocks[l]):
@@ -408,8 +401,5 @@ def commit_bn_stats(
     running statistics, in layer order.  Call once per forward pass, between
     optimizer steps; the tape itself may be gone by then."""
     for mean_key, var_key, stats in bn_stats:
-        new_mean, new_var = updated_running_stats(
-            stats, params[mean_key], params[var_key], momentum
-        )
-        params[mean_key] = new_mean
-        params[var_key] = new_var
+        params[mean_key] = (1.0 - momentum) * params[mean_key] + momentum * stats.mean
+        params[var_key] = (1.0 - momentum) * params[var_key] + momentum * stats.var_unbiased

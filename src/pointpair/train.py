@@ -10,7 +10,9 @@ uninterrupted run bit for bit.  The U-Net runs in float32 on float64 master
 weights (`net.unet`).  Its output features, the loss computation and the
 feature gradients stay float32; the loss values are summed in float64, and
 the parameter gradients, the SGD step, the running statistics and the
-checkpoints are float64.
+checkpoints are float64.  Each `UNet.backward` writes every trainable
+tensor's gradient once; `forward_backward` adds the second view's into the
+first's, and `train()` sums a step's slots into a fresh zero registry.
 
 Memory contract: a step holds the loss result only until its gradients are
 scattered (info_nce itself holds one row block of logits at a time, never
@@ -18,9 +20,11 @@ the n x n matrix), and each view's U-Net tape only until that view's
 backward pass; the gradients and the BN batch statistics are all that
 outlive `forward_backward`, and `train()` drops them before the next slot.
 
-Checkpoint layout: a PCCK parameter file (config echo + named tensors)
-followed by an optimizer section:
-    magic "PCOS" | u64 iteration | u32 tensor count | momentum buffers
+Checkpoint layout (little-endian), written by `save_checkpoint` and read
+by `load_checkpoint` only:
+    magic "PCCK" | u32 config JSON length | config JSON (utf-8)
+    | parameters as a tensor section (`net.params`)
+    | magic "PCOS" | u64 iteration | momentum buffers as a tensor section
 Training log: CSV with columns iter, lr, loss, collapse, millis.
 Both are written through `errors.file_stream`: a save that fails part way
 leaves the file it would have replaced as it was, and no .tmp file beside it.
@@ -28,6 +32,7 @@ leaves the file it would have replaced as it was, and no .tmp file beside it.
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 import struct
@@ -38,7 +43,16 @@ import numpy as np
 
 from .augment import AugmentationConfig, dropout_points, jitter_points, sample_transform
 from .config import ConfigMixin
-from .errors import ConfigError, DegenerateBatchError, FormatError, PointPairError, file_stream, read_struct
+from .errors import (
+    ConfigError,
+    DegenerateBatchError,
+    FormatError,
+    PointPairError,
+    file_stream,
+    invalid_content,
+    read_exact,
+    read_struct,
+)
 from .geometry import apply_transform
 from .losses import (
     LossConfig,
@@ -50,21 +64,14 @@ from .losses import (
     sample_negative_pool,
     subsample_matches,
 )
-from .net.params import (
-    GradientSet,
-    ParameterSet,
-    is_trainable,
-    load_params,
-    read_tensor_section,
-    save_params,
-    write_tensor_section,
-)
+from .net.params import GradientSet, ParameterSet, read_tensor_section, write_tensor_section
 from .net.unet import UNet, UNetConfig, commit_bn_stats
 from .pairs import ScenePair
 from .voxel import collapse_matches_to_voxels, quantize
 
 log = logging.getLogger(__name__)
 
+_CKPT_MAGIC = b"PCCK"
 _OPT_MAGIC = b"PCOS"
 
 
@@ -115,9 +122,7 @@ class OptimizerState:
 
     @classmethod
     def zeros(cls, params: ParameterSet) -> "OptimizerState":
-        return cls(
-            {n: np.zeros_like(t) for n, t in params.tensors.items() if is_trainable(n)}, 0
-        )
+        return cls(GradientSet.zeros_like(params).tensors)
 
 
 @dataclass(frozen=True)
@@ -282,19 +287,35 @@ class TrainResult:
 
 
 def save_checkpoint(path, params: ParameterSet, config_echo: dict, state: OptimizerState) -> None:
-    """Atomic write: PCCK parameter file plus a PCOS optimizer section."""
+    """Write a checkpoint to `path`, a file name (atomically) or a file object."""
+    blob = json.dumps(config_echo, sort_keys=True).encode("utf-8")
     with file_stream(path, "wb") as fh:
-        save_params(fh, params, config_echo)
+        fh.write(_CKPT_MAGIC)
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        write_tensor_section(fh, params.tensors)
         fh.write(_OPT_MAGIC)
         fh.write(struct.pack("<Q", state.iteration))
         write_tensor_section(fh, state.buffers)
 
 
 def load_checkpoint(path) -> tuple[ParameterSet, dict, OptimizerState]:
-    with open(path, "rb") as fh:
-        params, echo = load_params(fh)
-        magic = fh.read(4)
-        if magic != _OPT_MAGIC:
+    """(parameters, config echo, optimizer state) from `path`, a file name or
+    a file object; FormatError for anything that does not follow the layout."""
+    with file_stream(path, "rb") as fh:
+        if fh.read(4) != _CKPT_MAGIC:
+            raise FormatError("bad checkpoint magic; expected PCCK")
+        (blob_len,) = read_struct(fh, "<I", "config length")
+        try:
+            echo = json.loads(read_exact(fh, blob_len, "config JSON"))
+        except (ValueError, RecursionError) as exc:  # also JSONDecodeError, UnicodeDecodeError
+            raise FormatError(f"config JSON is malformed: {exc}") from exc
+        if not isinstance(echo, dict):
+            raise FormatError(f"config JSON is not an object: {type(echo).__name__}")
+        params = ParameterSet(read_tensor_section(fh))
+        with invalid_content("checkpoint"):
+            params.validate_finite()
+        if fh.read(4) != _OPT_MAGIC:
             raise FormatError("checkpoint missing PCOS optimizer section")
         (iteration,) = read_struct(fh, "<Q", "optimizer iteration")
         buffers = read_tensor_section(fh)

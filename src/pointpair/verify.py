@@ -306,7 +306,7 @@ def _check_residual_block_gradients(rng: np.random.Generator, instances: int) ->
             out, c = block.forward(ctx, 3, feats, params, "train", 1e-5)
             return float((out * weight).sum()), c.relu_masks()
 
-        grads = GradientSet.zeros_like(params)
+        grads = GradientSet()
         d_in = block.backward(cache, weight, grads)
         worst = max(worst, fd_compare_masked(value_and_masks, feats, d_in, rng, max_count=30))
         for name in grads.names():

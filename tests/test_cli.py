@@ -15,7 +15,6 @@ from pointpair.frames import DepthFrame, SyntheticSceneSpec, read_frame, write_f
 from pointpair.geometry import PointCloud
 from pointpair.losses import LossConfig
 from pointpair.net import layers
-from pointpair.net.params import load_params
 from pointpair.net.unet import UNet, UNetConfig
 from pointpair.pairs import generate_pairs, read_pair, write_pair
 from pointpair.ply import ply_bytes, read_ply
@@ -50,14 +49,14 @@ class TestTemplates:
     def test_templates_parse_back(self, workdir):
         assert cli.main(["template", "train", "--out", "t.ini"]) == 0
         assert cli.main(["template", "scene", "--out", "s.ini"]) == 0
-        assert cli.load_train_config("t.ini") == TrainConfig()
-        assert cli.load_scene_spec("s.ini") == SyntheticSceneSpec()
+        assert TrainConfig.from_ini("t.ini", "train") == TrainConfig()
+        assert SyntheticSceneSpec.from_ini("s.ini", "scene") == SyntheticSceneSpec()
 
     def test_scene_plane_extent_is_read(self, workdir):
         _write_scene(workdir / "scene.ini")
         text = (workdir / "scene.ini").read_text().replace("plane_extent = 0.8,1.6", "plane_extent = 0.1,0.2")
         (workdir / "scene.ini").write_text(text)
-        assert cli.load_scene_spec("scene.ini").plane_extent == (0.1, 0.2)
+        assert SyntheticSceneSpec.from_ini("scene.ini", "scene").plane_extent == (0.1, 0.2)
 
 
 class TestStrictIni:
@@ -151,6 +150,16 @@ class TestSynth:
         rc = cli.main(["synth", "--spec", "bad.ini", "--out", "x"])
         assert rc == 1
         assert "primitive" in capsys.readouterr().err
+
+    def test_refuses_out_dir_holding_frames(self, workdir, capsys):
+        _write_scene(workdir / "scene.ini", seed=0, cameras=3)
+        assert cli.main(["synth", "--spec", "scene.ini", "--out", "frames"]) == 0
+        before = {f: (workdir / "frames" / f).read_bytes() for f in os.listdir("frames")}
+        _write_scene(workdir / "scene.ini", seed=9, cameras=2)
+        assert cli.main(["synth", "--spec", "scene.ini", "--out", "frames"]) == 1
+        assert capsys.readouterr().err.startswith("error: --out: 'frames' already holds frame files")
+        after = {f: (workdir / "frames" / f).read_bytes() for f in os.listdir("frames")}
+        assert after == before  # frames and manifest of the first scene untouched
 
     def test_manifest_written(self, workdir, monkeypatch):
         monkeypatch.setenv("OMP_NUM_THREADS", "3")
@@ -424,7 +433,7 @@ HUGE_HEADERS = {
     "ply": (read_ply, _huge_ply_header() + bytes(24)),
     "pair": (read_pair, b"PCPR" + 2 * ply_bytes(PointCloud(np.zeros((2, 3))))
              + struct.pack("<Q", HUGE) + bytes(24)),
-    "params": (load_params, b"PCCK" + struct.pack("<I", 2) + b"{}" + struct.pack("<IH", 1, 1)
+    "checkpoint": (load_checkpoint, b"PCCK" + struct.pack("<I", 2) + b"{}" + struct.pack("<IH", 1, 1)
                + b"w" + struct.pack("<B2Q", 2, 1 << 20, 1 << 20) + bytes(24)),
 }
 
@@ -459,6 +468,33 @@ class TestMissingInputPath:
         assert err.startswith(f"error: {flag}: {message} ") and repr(argv[argv.index(flag) + 1]) in err
         assert not os.path.exists(workdir / "out")
 
+class TestOutOfTheWrongKind:
+    """An --out that cannot take the command's output is a validation error
+    (exit 1) naming the flag, raised before any work and leaving the path as
+    it was."""
+
+    @pytest.mark.parametrize("argv, out, message", [
+        (["synth", "--spec", "c.ini"], "taken", "'taken' exists and is not a directory"),
+        (["synth", "--spec", "c.ini"], "taken/sub", "'taken' exists and is not a directory"),
+        (["pairgen", "--frames", "frames"], "taken", "'taken' exists and is not a directory"),
+        (["pretrain", "--pairs", "frames", "--config", "c.ini"], "taken", "'taken' exists and is not a directory"),
+        (["eval", "--checkpoint", "c.ini", "--pairs", "frames"], "taken", "'taken' exists and is not a directory"),
+        (["template", "train"], "frames", "'frames' is a directory"),
+        (["template", "scene"], "nowhere/s.ini", "no such directory 'nowhere'"),
+    ], ids=["synth", "synth-under-a-file", "pairgen", "pretrain", "eval", "template-dir", "template-no-parent"])
+    def test_exits_1_before_any_work(self, workdir, capsys, argv, out, message):
+        if argv[0] == "synth":
+            _write_scene(workdir / "c.ini")
+        else:
+            _write_train(workdir / "c.ini")
+        os.mkdir("frames")
+        (workdir / "taken").write_text("a file\n")
+        assert cli.main(argv + ["--out", out]) == 1
+        assert capsys.readouterr().err == f"error: --out: {message}\n"
+        assert (workdir / "taken").read_text() == "a file\n"
+        assert os.listdir("frames") == [] and not os.path.exists("nowhere")
+
+
 class TestHugeHeaderCounts:
     @pytest.mark.parametrize("kind", sorted(HUGE_HEADERS))
     def test_reader_raises_format_error(self, tmp_path, kind):
@@ -473,7 +509,7 @@ class TestHugeHeaderCounts:
         (workdir / "frames" / "huge.pcfd").write_bytes(HUGE_HEADERS["frame"][1])
         assert cli.main(["pairgen", "--frames", "frames", "--out", "pairs"]) == 2
         assert capsys.readouterr().err.startswith("error: truncated")
-        (workdir / "huge.ckpt").write_bytes(HUGE_HEADERS["params"][1])
+        (workdir / "huge.ckpt").write_bytes(HUGE_HEADERS["checkpoint"][1])
         assert cli.main(["eval", "--checkpoint", "huge.ckpt", "--pairs", "pairs", "--out", "ev"]) == 2
         assert capsys.readouterr().err.startswith("error: truncated")
 

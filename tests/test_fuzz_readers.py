@@ -1,16 +1,13 @@
 """Fuzzing the binary readers: any bytes either parse or raise FormatError.
 
-Each of `read_frame`, `read_pair`, `read_ply` and `load_params` /
-`load_checkpoint` is fed arbitrary byte strings, and real files with bytes
+Each of `read_frame`, `read_pair`, `read_ply` and `load_checkpoint` is fed arbitrary byte strings, and real files with bytes
 overwritten, inserted or cut off.  A reader may accept what it is given; it
 must never raise anything but `FormatError` (no `ValueError` from a
 constructor, `MemoryError`, `IndexError` or `struct.error`).
 """
 
 import io
-import os
 import struct
-import tempfile
 
 import numpy as np
 import pytest
@@ -20,7 +17,7 @@ from hypothesis import strategies as st
 from pointpair.errors import FormatError
 from pointpair.frames import DepthFrame, read_frame, write_frame
 from pointpair.geometry import PointCloud
-from pointpair.net.params import ParameterSet, load_params, save_params
+from pointpair.net.params import ParameterSet
 from pointpair.pairs import CorrespondenceMap, ScenePair, read_pair, write_pair
 from pointpair.ply import ply_bytes, read_ply
 from pointpair.train import OptimizerState, load_checkpoint, save_checkpoint
@@ -42,29 +39,11 @@ def _pair_bytes() -> bytes:
     return buf.getvalue()
 
 
-def _params() -> ParameterSet:
-    return ParameterSet({"a.kernel": np.ones((1, 2, 2)), "a.bn.gamma": np.zeros(2)})
-
-
-def _params_bytes() -> bytes:
-    buf = io.BytesIO()
-    save_params(buf, _params(), {"seed": 1})
-    return buf.getvalue()
-
-
 def _checkpoint_bytes() -> bytes:
-    with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "c.ckpt")
-        save_checkpoint(path, _params(), {"seed": 1}, OptimizerState({"a.kernel": np.zeros((1, 2, 2))}, 3))
-        with open(path, "rb") as fh:
-            return fh.read()
-
-
-def _read_checkpoint(blob: bytes):
-    with tempfile.NamedTemporaryFile(suffix=".ckpt") as fh:
-        fh.write(blob)
-        fh.flush()
-        return load_checkpoint(fh.name)
+    params = ParameterSet({"a.kernel": np.ones((1, 2, 2)), "a.bn.gamma": np.zeros(2)})
+    buf = io.BytesIO()
+    save_checkpoint(buf, params, {"seed": 1}, OptimizerState({"a.kernel": np.zeros((1, 2, 2))}, 3))
+    return buf.getvalue()
 
 
 READERS = {
@@ -72,8 +51,7 @@ READERS = {
     "pair": (lambda blob: read_pair(io.BytesIO(blob)), _pair_bytes()),
     "ply": (lambda blob: read_ply(io.BytesIO(blob)), ply_bytes(PointCloud(np.eye(3)))),
     "ply_features": (lambda blob: read_ply(io.BytesIO(blob)), ply_bytes(PointCloud(np.eye(3), np.ones((3, 2))))),
-    "params": (lambda blob: load_params(io.BytesIO(blob)), _params_bytes()),
-    "checkpoint": (_read_checkpoint, _checkpoint_bytes()),
+    "checkpoint": (lambda blob: load_checkpoint(io.BytesIO(blob)), _checkpoint_bytes()),
 }
 
 
@@ -93,6 +71,8 @@ def _ply_header(n: int) -> bytes:
 
 
 def _params_blob(config: bytes, tensor: bytes) -> bytes:
+    """A checkpoint's header and parameter section of one tensor, without
+    the optimizer section."""
     return b"PCCK" + struct.pack("<I", len(config)) + config + struct.pack("<I", 1) + tensor
 
 
@@ -116,9 +96,9 @@ INVALID_CONTENT = {
     "ply_no_vertices": ("ply", _ply_header(0)),
     "ply_nan_coordinate": ("ply", _ply_header(1) + _NAN_F4 + bytes(8)),
     "ply_signaling_nan_coordinate": ("ply", _ply_header(1) + _SNAN_F4 + bytes(8)),
-    "params_zero_and_huge_dims": ("params", _params_blob(b"{}", _tensor((2**57, 2**57, 0)))),
-    "params_nan_value": ("params", _params_blob(b"{}", _tensor((1,), struct.pack("<d", np.nan)))),
-    "params_deeply_nested_json": ("params", _params_blob(b"[" * 100_000, b"")),
+    "params_zero_and_huge_dims": ("checkpoint", _params_blob(b"{}", _tensor((2**57, 2**57, 0)))),
+    "params_nan_value": ("checkpoint", _params_blob(b"{}", _tensor((1,), struct.pack("<d", np.nan)))),
+    "params_deeply_nested_json": ("checkpoint", _params_blob(b"[" * 100_000, b"")),
 }
 
 

@@ -20,8 +20,9 @@ from pointpair.net.layers import (
     sparse_conv_forward,
     stride2_maps,
     swap_maps,
-    updated_running_stats,
 )
+from pointpair.net.params import ParameterSet
+from pointpair.net.unet import commit_bn_stats
 from pointpair.verify import dense_conv_oracle, random_coords
 from pointpair.voxel import SparseVoxelTensor
 
@@ -215,9 +216,10 @@ class TestBatchNorm:
     def test_running_stat_update_rule(self, rng):
         feats = rng.standard_normal((50, 3)) * 2 + 1
         _, tape = batch_norm_forward(feats, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), "train")
-        new_mean, new_var = updated_running_stats(tape.stats, np.zeros(3), np.ones(3), 0.1)
-        np.testing.assert_allclose(new_mean, 0.1 * feats.mean(0), atol=1e-12)
-        np.testing.assert_allclose(new_var, 0.9 + 0.1 * feats.var(0, ddof=1), atol=1e-12)
+        params = ParameterSet({"bn.running_mean": np.zeros(3), "bn.running_var": np.ones(3)})
+        commit_bn_stats(params, [("bn.running_mean", "bn.running_var", tape.stats)], 0.1)
+        np.testing.assert_allclose(params["bn.running_mean"], 0.1 * feats.mean(0), atol=1e-12)
+        np.testing.assert_allclose(params["bn.running_var"], 0.9 + 0.1 * feats.var(0, ddof=1), atol=1e-12)
 
     def test_train_mode_bitwise_equal_to_var_and_centring(self, rng):
         for _ in range(60):

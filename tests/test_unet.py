@@ -15,8 +15,10 @@ from pointpair.losses import (
     sample_negative_pool,
     subsample_matches,
 )
-from pointpair.net.params import GradientSet, ParameterSet, is_trainable, load_params, save_params
+from pointpair.net.layers import batch_norm_backward, batch_norm_forward, conv_backward, sparse_conv_forward
+from pointpair.net.params import GradientSet, ParameterSet, is_trainable
 from pointpair.net.unet import COMPUTE_DTYPE, UNet, UNetConfig, commit_bn_stats, relu_masks
+from pointpair.train import OptimizerState, load_checkpoint, save_checkpoint
 from pointpair.verify import random_coords, tiny_unet_config
 from pointpair.voxel import SparseVoxelTensor, quantize
 
@@ -143,6 +145,33 @@ class TestForward:
         unet.backward(tape, np.zeros_like(out.features))
         with pytest.raises(RuntimeError):
             unet.backward(tape, np.zeros_like(out.features))
+
+
+def _conv_backward(rng):
+    out, tape = sparse_conv_forward(_input(rng, 30, 3), rng.standard_normal((27, 3, 2)), 1)
+    return lambda: conv_backward(tape, np.zeros_like(out.features))
+
+
+def _bn_backward(rng):
+    out, tape = batch_norm_forward(rng.standard_normal((20, 3)), np.ones(3), np.zeros(3),
+                                   np.zeros(3), np.ones(3), "train")
+    return lambda: batch_norm_backward(tape, np.zeros_like(out))
+
+
+def _unet_backward(rng):
+    unet = UNet(tiny_unet_config())
+    out, tape = unet.forward(_input(rng, 30, 2), unet.init_params(0), "train")
+    return lambda: unet.backward(tape, np.zeros_like(out.features))
+
+
+@pytest.mark.parametrize("kind, make", [
+    ("ConvTape", _conv_backward), ("BnTape", _bn_backward), ("UNetTape", _unet_backward),
+])
+def test_second_backward_on_a_tape_raises(rng, kind, make):
+    backward = make(rng)
+    backward()
+    with pytest.raises(RuntimeError, match=f"^{kind} already consumed by a backward pass$"):
+        backward()
 
 
 class TestCheckParams:
@@ -353,14 +382,18 @@ class TestParamsIO:
     def test_checkpoint_roundtrip_bitwise(self, rng):
         cfg = tiny_unet_config()
         params = UNet(cfg).init_params(4)
+        state = OptimizerState({n: rng.standard_normal(t.shape) for n, t in params.tensors.items()}, 7)
         buf = io.BytesIO()
-        save_params(buf, params, {"unet": cfg.to_dict(), "note": 1})
-        buf.seek(0)
-        back, echo = load_params(buf)
-        assert echo["unet"] == cfg.to_dict()
-        assert back.names() == params.names()
-        for name in params.names():
-            np.testing.assert_array_equal(back[name], params[name])
+        save_checkpoint(buf, params, {"unet": cfg.to_dict(), "note": 1}, state)
+        blob = buf.getvalue()
+        back, echo, back_state = load_checkpoint(io.BytesIO(blob))
+        assert echo == {"unet": cfg.to_dict(), "note": 1}
+        assert back.digest() == params.digest()
+        assert back_state.iteration == 7
+        assert ParameterSet(back_state.buffers).digest() == ParameterSet(state.buffers).digest()
+        again = io.BytesIO()
+        save_checkpoint(again, back, echo, back_state)
+        assert again.getvalue() == blob
 
     def test_gradient_set_shapes(self):
         params = UNet(tiny_unet_config()).init_params(0)
@@ -374,6 +407,15 @@ class TestParamsIO:
         p.add("w", np.zeros(2))
         with pytest.raises(ValueError):
             p.add("w", np.zeros(2))
+
+    def test_second_gradient_write_rejected(self, rng):
+        unet = UNet(tiny_unet_config())
+        params = unet.init_params(0)
+        out, tape = unet.forward(_input(rng, 30, 2), params, "train")
+        grads, _ = unet.backward(tape, rng.standard_normal(out.features.shape))
+        assert grads.names() == sorted(n for n in params.names() if is_trainable(n))
+        with pytest.raises(ValueError, match="duplicate tensor name 'head.kernel'"):
+            grads.add("head.kernel", np.zeros_like(params["head.kernel"]))
 
 
 class TestEvalTape:
