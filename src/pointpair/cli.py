@@ -101,18 +101,17 @@ def _input_files(flag: str, directory: str, suffix: str) -> list[str]:
     return names
 
 
-def _require_out_dir(out: str, earlier: tuple[str, str] | None = None) -> None:
+def _require_out_dir(out: str, suffix: str | None = None) -> None:
     """Reject an --out that is, or lies under, a file that is not a directory
-    and, given `earlier` = (suffix, kind), one that already holds such files,
-    which the run's own would mix with.  A validation error; call before any
-    work."""
+    and, given `suffix`, one that already holds files ending in it, which the
+    run's own would mix with.  A validation error; call before any work."""
     existing = os.path.normpath(out)
     while existing and not os.path.exists(existing):
         existing = os.path.dirname(existing)
     if existing and not os.path.isdir(existing):
         raise ConfigError(f"--out: '{existing}' exists and is not a directory")
-    if earlier and os.path.isdir(out) and any(f.endswith(earlier[0]) for f in os.listdir(out)):
-        raise ConfigError(f"--out: '{out}' already holds {earlier[1]} files; use a directory without them")
+    if suffix and os.path.isdir(out) and any(f.endswith(suffix) for f in os.listdir(out)):
+        raise ConfigError(f"--out: '{out}' already holds {suffix} files; use a directory without them")
 
 
 def _write_manifest(out_dir: str, command: str, config_echo: dict, seed, artifacts: list[str]) -> None:
@@ -135,7 +134,7 @@ def cmd_synth(args) -> int:
     spec = SyntheticSceneSpec.from_ini(args.spec, "scene")
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    _require_out_dir(args.out, (".pcfd", "frame"))
+    _require_out_dir(args.out, ".pcfd")
     names = [f"frame_{i:04d}.pcfd" for i in range(spec.n_cameras)]
     _write_manifest(args.out, "synth", spec.to_dict() | {"spec_file": args.spec}, spec.seed, names)
     frames = synthesize_scene(spec)
@@ -147,7 +146,7 @@ def cmd_synth(args) -> int:
 
 def cmd_pairgen(args) -> int:
     cfg = PairConfig(args.stride, args.threshold, args.radius, args.voxel_size)
-    _require_out_dir(args.out, (".pcpr", "pair"))
+    _require_out_dir(args.out, ".pcpr")
     frame_files = _input_files("--frames", args.frames, ".pcfd")
     frames = [read_frame(os.path.join(args.frames, f)) for f in frame_files]
     pairs = generate_pairs(frames, **cfg.to_dict(), scene_id=os.path.basename(os.path.normpath(args.frames)))

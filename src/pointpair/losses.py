@@ -352,7 +352,8 @@ def collapse_metric(features: np.ndarray) -> float:
     """Mean per-dimension standard deviation of L2-normalized rows.
 
     Zero exactly when all rows coincide after normalization (the mode-collapse
-    signature); zero rows are left at zero rather than raising.
+    signature); zero rows are left at zero rather than raising, and a row
+    with a NaN makes it NaN, so a diverged run shows in the training log.
     """
     unit, _, _ = _unit_rows(features)
     # shifting by the first row leaves the std unchanged but makes the

@@ -157,7 +157,7 @@ class TestSynth:
         before = {f: (workdir / "frames" / f).read_bytes() for f in os.listdir("frames")}
         _write_scene(workdir / "scene.ini", seed=9, cameras=2)
         assert cli.main(["synth", "--spec", "scene.ini", "--out", "frames"]) == 1
-        assert capsys.readouterr().err.startswith("error: --out: 'frames' already holds frame files")
+        assert capsys.readouterr().err.startswith("error: --out: 'frames' already holds .pcfd files")
         after = {f: (workdir / "frames" / f).read_bytes() for f in os.listdir("frames")}
         assert after == before  # frames and manifest of the first scene untouched
 
@@ -242,7 +242,7 @@ class TestPairgen:
         assert any(f.endswith(".pcpr") for f in before)
         rc = cli.main(["pairgen", "--frames", "frames", "--out", "pairs", "--stride", "2"])
         assert rc == 1
-        assert "already holds pair files" in capsys.readouterr().err
+        assert "already holds .pcpr files" in capsys.readouterr().err
         after = {f: (workdir / "pairs" / f).read_bytes() for f in os.listdir("pairs")}
         assert after == before  # pair files and manifest untouched
 

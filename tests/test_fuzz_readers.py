@@ -71,9 +71,10 @@ def _ply_header(n: int) -> bytes:
 
 
 def _params_blob(config: bytes, tensor: bytes) -> bytes:
-    """A checkpoint's header and parameter section of one tensor, without
-    the optimizer section."""
-    return b"PCCK" + struct.pack("<I", len(config)) + config + struct.pack("<I", 1) + tensor
+    """A checkpoint whose parameter section holds one tensor, followed by an
+    empty optimizer section at iteration 0."""
+    header = b"PCCK" + struct.pack("<I", len(config)) + config
+    return header + struct.pack("<I", 1) + tensor + b"PCOS" + struct.pack("<QI", 0, 0)
 
 
 def _tensor(dims, payload: bytes = b"") -> bytes:
@@ -108,6 +109,13 @@ def test_invalid_content_raises_format_error(case):
     reader, _ = READERS[kind]
     with pytest.raises(FormatError):
         reader(blob)
+
+
+def test_params_blob_parses_with_valid_content():
+    """The `params_*` cases differ from this blob only in what they test."""
+    params, echo, state = load_checkpoint(io.BytesIO(_params_blob(b"{}", _tensor((1,), struct.pack("<d", 1.5)))))
+    assert echo == {} and state.iteration == 0 and not state.buffers
+    np.testing.assert_array_equal(params.tensors["w"], [1.5])
 
 
 def test_signaling_nan_depth_reads_as_a_pixel_without_depth():

@@ -275,6 +275,15 @@ class TestCollapseMetric:
         perm = rng.permutation(40)
         assert collapse_metric(f[perm]) == pytest.approx(collapse_metric(f), abs=1e-15)
 
+    def test_zero_row_counts_as_the_zero_vector(self):
+        f = np.array([[2.0, 0.0], [0.0, 0.0]])
+        # normalized rows (1, 0) and (0, 0): column stds 0.5 and 0
+        assert collapse_metric(f) == 0.25
+
+    def test_nan_row_gives_nan(self):
+        f = np.array([[1.0, 0.0], [np.nan, 0.0], [0.0, 1.0]])
+        assert np.isnan(collapse_metric(f))
+
 
 class TestMatchBatch:
     def test_shape_validation(self, rng):
