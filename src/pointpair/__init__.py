@@ -9,7 +9,6 @@ from .geometry import (
     PointCloud,
     RigidScaleTransform,
     apply_transform,
-    brute_force_nearest,
     build_index,
     rotation_about_axis,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "NeighborIndex",
     "apply_transform",
     "build_index",
-    "brute_force_nearest",
     "rotation_about_axis",
     "SparseVoxelTensor",
     "quantize",

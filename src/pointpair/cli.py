@@ -20,7 +20,8 @@ where a file goes, or a `synth` or `pairgen` directory that already holds
 frame or pair files), and a flag or config value out of range are
 validation errors raised before the output directory is created.  Also
 before it, `eval` and `pretrain --resume` reject a checkpoint whose
-tensors do not fit its network (a format error), and
+config echo is not a train config or whose tensors do not fit its network
+(a format error), and
 `pretrain --resume` one whose config echo differs from the config (a
 validation error).  Every output file is written through
 `errors.file_stream`: to a temporary name that is renamed over the target on
@@ -57,7 +58,7 @@ from .evaluate import (
 from .frames import SyntheticSceneSpec, read_frame, synthesize_scene, write_frame
 from .net.unet import COMPUTE_DTYPE, UNet
 from .pairs import PairConfig, generate_pairs, read_pair, write_pair
-from .train import TrainConfig, load_checkpoint, load_resume, train
+from .train import TrainConfig, checkpoint_config, load_checkpoint, load_resume, train
 from .verify import run_suite
 
 
@@ -189,7 +190,7 @@ def cmd_eval(args) -> int:
     _require_out_dir(args.out)
     _require_input("--checkpoint", args.checkpoint, directory=False)
     params, echo, _ = load_checkpoint(args.checkpoint)
-    cfg = TrainConfig.from_dict(echo)
+    cfg = checkpoint_config(echo)
     UNet(cfg.unet).check_params(params)
     pair_files = _input_files("--pairs", args.pairs, ".pcpr")
     unet_cfg, voxel_size, normalize = cfg.unet, cfg.voxel_size, cfg.loss.normalize_features

@@ -5,8 +5,11 @@ in manifests and checkpoints) and `from_ini` / `to_ini`.  In an INI file a
 field whose type is another config dataclass is a section named after the
 field; every other field is a required key, cast from its annotation: `bool`
 as an INI boolean, `tuple[T, ...]` as comma-separated values, a fixed-length
-tuple with exactly that many.  Missing or unknown keys and sections, and a
-non-finite float value, raise ConfigError.  `to_ini` writes a
+tuple with exactly that many.  `from_dict` takes the JSON-native form and
+checks each value against its annotation: a `bool` is not an `int`, an `int`
+is a `float`, a tuple is a list of its element types and a nested config is
+a dict.  Missing or unknown keys and sections, a value of the wrong type, and
+a non-finite float value, raise ConfigError.  `to_ini` writes a
 field's `metadata["note"]` as an inline `; note` comment, so the config
 templates are the dataclass defaults written out.
 """
@@ -30,9 +33,32 @@ def _is_config(tp) -> bool:
     return isinstance(tp, type) and issubclass(tp, ConfigMixin)
 
 
+def _fits(value, tp) -> bool:
+    """Whether JSON-native `value` has the type annotation `tp` asks for."""
+    if _is_config(tp):
+        return isinstance(value, dict)
+    if typing.get_origin(tp) is tuple:
+        types = typing.get_args(tp)
+        if not isinstance(value, list):
+            return False
+        if types[-1] is Ellipsis:
+            types = types[:1] * len(value)
+        return len(types) == len(value) and all(map(_fits, value, types))
+    if isinstance(value, bool):
+        return tp is bool
+    return isinstance(value, (int, float) if tp is float else tp)
+
+
+def _type_name(tp) -> str:
+    """What a `from_dict` error says annotation `tp` asks for."""
+    if _is_config(tp):
+        return f"a {tp.__name__} dict"
+    return f"a list ({tp})" if typing.get_origin(tp) is tuple else tp.__name__
+
+
 def _non_finite(value) -> bool:
-    """Whether a field value (a scalar, or a tuple or list of them) holds nan or inf."""
-    values = value if isinstance(value, (tuple, list)) else (value,)
+    """Whether a field value (a scalar, or a list of them) holds nan or inf."""
+    values = value if isinstance(value, list) else (value,)
     return any(isinstance(v, float) and not math.isfinite(v) for v in values)
 
 
@@ -59,7 +85,7 @@ def _parse(cp: configparser.ConfigParser, section: str, key: str, tp):
             types = types[:1] * len(values)
         if len(types) != len(values):
             raise ValueError(f"expected {len(types)} values")
-        return tuple(t(v) for t, v in zip(types, values))
+        return [t(v) for t, v in zip(types, values)]
     except ValueError as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
@@ -87,6 +113,8 @@ class ConfigMixin:
         kwargs = {}
         for name, tp in fields.items():
             value = d[name]
+            if not _fits(value, tp):
+                raise ConfigError(f"config key '{name}' must be {_type_name(tp)}, got {value!r}")
             if _non_finite(value):
                 raise ConfigError(f"config key '{name}' must be finite, got {value!r}")
             if _is_config(tp):

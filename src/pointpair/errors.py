@@ -59,12 +59,13 @@ def read_struct(fh, fmt: str, what: str) -> tuple:
 
 @contextlib.contextmanager
 def invalid_content(what: str):
-    """Re-raise a ValueError met while decoding or validating what a file
-    holds (a non-finite value, an index out of range, a shape numpy cannot
-    make) as a FormatError naming `what`."""
+    """Re-raise a ValueError or ConfigError met while decoding or validating
+    what a file holds (a non-finite value, an index out of range, a shape
+    numpy cannot make, a config echo that is no config) as a FormatError
+    naming `what`."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, ConfigError) as exc:
         raise FormatError(f"invalid {what}: {exc}") from exc
 
 

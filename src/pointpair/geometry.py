@@ -4,8 +4,9 @@ Distances are Euclidean throughout.  The neighbor index answers queries within
 a radius fixed when it is built: each query gets its nearest reference point
 at distance <= radius, or (-1, inf) when there is none.  Ties are broken by
 the lowest reference index, and every candidate distance is summed as
-dx*dx + dy*dy + dz*dz, the order of the brute-force scan, so wherever that
-scan finds a point within the radius the two agree bit for bit.
+dx*dx + dy*dy + dz*dz, the order of the index's oracle, the exhaustive scan
+`verify.oracle_min_dists`, so wherever that scan finds a point within the
+radius the two agree bit for bit.
 
 Dense searches over feature rows (`nearest_rows`, and the info_nce loss) hold
 at most `BLOCK_ELEMENTS` distances or logits at once: they walk the query rows
@@ -156,19 +157,6 @@ def apply_transform(pc: PointCloud, t: RigidScaleTransform) -> PointCloud:
     return PointCloud(out, pc.features)
 
 
-def brute_force_nearest(pc: PointCloud, query) -> tuple[int, float]:
-    """Exhaustive nearest-neighbor scan; ties resolve to the lowest index.
-
-    Serves as the oracle for `NeighborIndex.nearest_many`; both compute
-    squared distances as (dx*dx + dy*dy + dz*dz) so results match exactly.
-    """
-    q = np.asarray(query, dtype=np.float64).reshape(3)
-    diff = pc.points - q
-    sq = (diff * diff).sum(axis=1)
-    idx = int(np.argmin(sq))
-    return idx, float(np.sqrt(sq[idx]))
-
-
 _DIST_BLOCK_ROWS = 64  # rows of temporaries held at once by pairwise_sq_dists
 
 # Entries (4 MiB in float32, 8 MiB in float64) of the largest row block that
@@ -304,8 +292,9 @@ class NeighborIndex:
         Returns (indices, distances).  Distance is sqrt(dx*dx + dy*dy + dz*dz),
         a point is within range when distance <= radius, and ties go to the
         lowest reference index.  A query with no point in range gets
-        (-1, inf).  Results equal `brute_force_nearest` wherever it finds a
-        point within `radius`, bit for bit.
+        (-1, inf).  Results equal the exhaustive scan
+        `verify.oracle_min_dists` wherever it finds a point within `radius`,
+        bit for bit.
 
         `reached`, a boolean array with one entry per reference point, is
         set True (never cleared) at every reference point within `radius` of

@@ -171,18 +171,14 @@ def conv_apply(maps: OffsetMaps, feats_in: np.ndarray, kernel: np.ndarray, n_out
 
 
 def conv_grads(
-    maps: OffsetMaps,
-    feats_in: np.ndarray,
-    kernel: np.ndarray,
-    d_out: np.ndarray,
-    n_in: int,
+    maps: OffsetMaps, feats_in: np.ndarray, kernel: np.ndarray, d_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     feats_in = np.ascontiguousarray(feats_in)
     d_out = np.ascontiguousarray(d_out)
-    d_in = np.zeros((n_in, kernel.shape[1]), dtype=feats_in.dtype)
+    d_in = np.zeros((feats_in.shape[0], kernel.shape[1]), dtype=feats_in.dtype)
     d_kernel = np.zeros_like(kernel)
     for k, (dst, src) in enumerate(maps):
-        if _is_identity(dst, src, n_in, d_out.shape[0]):
+        if _is_identity(dst, src, feats_in.shape[0], d_out.shape[0]):
             d_in += d_out @ kernel[k].T
             d_kernel[k] = feats_in.T @ d_out
         elif dst.size:
@@ -225,7 +221,7 @@ def conv_forward(
 def conv_backward(tape: ConvTape, d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact adjoint of conv_forward: (input grads, kernel grads)."""
     tape.consume()
-    return conv_grads(tape.maps, tape.feats_in, tape.kernel, d_out, tape.feats_in.shape[0])
+    return conv_grads(tape.maps, tape.feats_in, tape.kernel, d_out)
 
 
 def sparse_conv_forward(

@@ -198,7 +198,7 @@ def write_pair(pair: ScenePair, target) -> None:
         fh.write(bytes(blob))
 
 
-def read_pair(source, scene_id: str = "", frame_ids: tuple[int, int] = (0, 1)) -> ScenePair:
+def read_pair(source, scene_id: str = "") -> ScenePair:
     with file_stream(source, "rb") as fh:
         if fh.read(4) != _PAIR_MAGIC:
             raise FormatError("bad pair magic; expected PCPR")
@@ -209,7 +209,7 @@ def read_pair(source, scene_id: str = "", frame_ids: tuple[int, int] = (0, 1)) -
         (overlap,) = read_struct(fh, "<d", "pair overlap")
     matches = np.frombuffer(raw, dtype="<u4").reshape(count, 2).astype(np.int64)
     with invalid_content("pair"):
-        return ScenePair(x1, x2, CorrespondenceMap(matches), overlap, scene_id, frame_ids)
+        return ScenePair(x1, x2, CorrespondenceMap(matches), overlap, scene_id)
 
 
 def revalidate_pair(pair: ScenePair, radius: float, overlap_threshold: float) -> None:

@@ -1,10 +1,13 @@
 """PLY reader/writer for point clouds.
 
-Binary little-endian PLY with a single ``vertex`` element; any other format
-is rejected with FormatError.
-Coordinates are stored as 32-bit floats under properties ``x``, ``y``, ``z``;
-optional per-point features are stored as 32-bit floats under ``f0``..``f{D-1}``.
+Binary little-endian PLY with a single ``vertex`` element.  Coordinates are
+stored as 32-bit floats under properties ``x``, ``y``, ``z``; optional
+per-point features are stored as 32-bit floats under ``f0``..``f{D-1}``.
 Writing round-trips through float32, so float64 inputs lose precision.
+
+The reader accepts exactly the header `write_ply` writes, line for line: no
+comments, no type aliases, no other element or property order.  Any other
+header line is a FormatError that names it.
 """
 
 from __future__ import annotations
@@ -15,9 +18,6 @@ import numpy as np
 
 from .errors import FormatError, file_stream, invalid_content, read_exact
 from .geometry import PointCloud
-
-_FLOAT_NAMES = {"float", "float32"}
-_MIN_FIELDS = {"format": 2, "element": 3, "property": 3}  # header keyword -> fields read
 
 
 def _header_lines(n_points: int, feature_dim: int) -> list[str]:
@@ -48,11 +48,8 @@ def write_ply(pc: PointCloud, target) -> None:
 
 
 def read_ply(source) -> PointCloud:
-    """Read a point cloud from `source` (a path or a binary file object).
-
-    Only ``vertex`` elements with float32 properties x, y, z and optional
-    f0..f{D-1} are accepted; anything else raises FormatError.
-    """
+    """Read a point cloud from `source` (a path or a binary file object)
+    whose header is exactly one `write_ply` writes; FormatError otherwise."""
     with file_stream(source, "rb") as fh:
         return _read_ply_stream(fh)
 
@@ -73,51 +70,18 @@ def _read_line(fh) -> str:
 
 
 def _read_ply_stream(fh) -> PointCloud:
-    if _read_line(fh) != "ply":
-        raise FormatError("missing 'ply' magic line")
-    has_format = False
-    n_points = None
-    props: list[str] = []
-    in_vertex = False
-    while True:
-        line = _read_line(fh)
-        if line == "end_header":
-            break
-        parts = line.split()
-        if not parts or parts[0] == "comment":
-            continue
-        if len(parts) < _MIN_FIELDS.get(parts[0], 1):
-            raise FormatError(f"PLY header line '{line}' has too few fields")
-        if parts[0] == "format":
-            if parts[1] != "binary_little_endian":
-                raise FormatError(f"unsupported PLY format '{parts[1]}'")
-            has_format = True
-        elif parts[0] == "element":
-            if parts[1] == "vertex":
-                try:
-                    n_points = int(parts[2])
-                except ValueError:
-                    raise FormatError(f"PLY vertex count '{parts[2]}' is not an integer") from None
-                if n_points < 0:
-                    raise FormatError(f"negative PLY vertex count {n_points}")
-                in_vertex = True
-            else:
-                raise FormatError(f"unsupported PLY element '{parts[1]}'")
-        elif parts[0] == "property":
-            if not in_vertex:
-                raise FormatError("property outside vertex element")
-            if parts[1] not in _FLOAT_NAMES:
-                raise FormatError(f"unsupported property type '{parts[1]}'")
-            props.append(parts[2])
-    if not has_format or n_points is None:
-        raise FormatError("PLY header missing format or vertex element")
-    if props[:3] != ["x", "y", "z"]:
-        raise FormatError(f"vertex properties must start with x, y, z; got {props[:3]}")
-    expected = [f"f{d}" for d in range(len(props) - 3)]
-    if props[3:] != expected:
-        raise FormatError(f"feature properties must be f0..f{{D-1}}; got {props[3:]}")
-
-    width = len(props)
+    head = [_read_line(fh) for _ in range(6)]
+    count = head[2].removeprefix("element vertex ")
+    # ASCII digits, no more than a u64 has; any other count fails the compare below
+    n_points = int(count) if count.isdigit() and len(count) <= 20 else 0
+    for number, (line, want) in enumerate(zip(head, _header_lines(n_points, 0)), 1):
+        if line != want:
+            raise FormatError(f"unexpected PLY header line {number}: '{line}'")
+    width = 3
+    while (line := _read_line(fh)) != "end_header":
+        if line != f"property float f{width - 3}":
+            raise FormatError(f"unexpected PLY header line {width + 4}: '{line}'")
+        width += 1
     raw = read_exact(fh, 4 * width * n_points, "PLY payload")
     rows = np.frombuffer(raw, dtype="<f4").reshape(n_points, width)
     # a signaling NaN sets the invalid flag when widened; PointCloud rejects it as any NaN

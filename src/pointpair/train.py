@@ -322,13 +322,22 @@ def load_checkpoint(path) -> tuple[ParameterSet, dict, OptimizerState]:
     return params, echo, OptimizerState(buffers, iteration)
 
 
+def checkpoint_config(echo: dict) -> TrainConfig:
+    """The TrainConfig a checkpoint's config echo records; FormatError when
+    the echo is not one (a key missing or unknown, a value of the wrong type
+    or out of range)."""
+    with invalid_content("checkpoint config"):
+        return TrainConfig.from_dict(echo)
+
+
 def load_resume(path, cfg: TrainConfig) -> tuple[ParameterSet, OptimizerState]:
     """The parameters and optimizer state of checkpoint `path`, checked to
     continue a run of `cfg`: FormatError unless its tensor names and shapes
-    fit cfg's network, then ConfigError unless its config echo equals cfg."""
+    fit cfg's network and its config echo is a TrainConfig, then ConfigError
+    unless that config equals cfg."""
     params, echo, state = load_checkpoint(path)
     UNet(cfg.unet).check_params(params)
-    key = TrainConfig.from_dict(echo).first_difference(cfg)
+    key = checkpoint_config(echo).first_difference(cfg)
     if key is not None:
         raise ConfigError(f"checkpoint config differs from the current config at '{key}'")
     return params, state

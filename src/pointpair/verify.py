@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointCloud, brute_force_nearest, build_index
+from .geometry import PointCloud, build_index
 from .losses import (
     LossConfig,
     MatchBatch,
@@ -32,6 +32,7 @@ from .voxel import SparseVoxelTensor
 from .train import OptimizerState, TrainConfig, poly_lr, sgd_step
 
 FD_STEP = 1e-4
+_ORACLE_BLOCK = 256  # x1 rows per block of `oracle_min_dists`
 TOL_PER_OP = 1e-4
 TOL_END_TO_END = 1e-3
 TOL_INFO_NCE = 1e-6
@@ -64,13 +65,14 @@ def sample_indices(rng: np.random.Generator, size: int, max_count: int) -> np.nd
     return np.sort(rng.choice(size, size=max_count, replace=False))
 
 
-def masked_central_difference(value_and_masks_fn, x: np.ndarray, flat_idx, h: float = FD_STEP):
+def masked_central_difference(value_and_masks_fn, x: np.ndarray, flat_idx):
     """Central finite differences of a scalar w.r.t. selected entries of x,
     perturbing x in place (restored afterwards), that skip kink crossings.
 
     `value_and_masks_fn()` returns (scalar, list of boolean activation masks);
-    an element whose +h and -h evaluations disagree on any mask straddles a
-    point of non-differentiability and is excluded from the comparison.
+    an element whose +FD_STEP and -FD_STEP evaluations disagree on any mask
+    straddles a point of non-differentiability and is excluded from the
+    comparison.
     Returns (numeric derivatives, keep mask).
     """
     flat = x.reshape(-1)
@@ -78,31 +80,31 @@ def masked_central_difference(value_and_masks_fn, x: np.ndarray, flat_idx, h: fl
     keep = np.empty(len(flat_idx), dtype=bool)
     for k, i in enumerate(flat_idx):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + FD_STEP
         fp, masks_p = value_and_masks_fn()
-        flat[i] = orig - h
+        flat[i] = orig - FD_STEP
         fm, masks_m = value_and_masks_fn()
         flat[i] = orig
-        out[k] = (fp - fm) / (2.0 * h)
+        out[k] = (fp - fm) / (2.0 * FD_STEP)
         keep[k] = all(np.array_equal(a, b) for a, b in zip(masks_p, masks_m))
     return out, keep
 
 
-def fd_compare_masked(value_and_masks_fn, x, analytic, rng, max_count=40, h=FD_STEP) -> float:
+def fd_compare_masked(value_and_masks_fn, x, analytic, rng, max_count=40) -> float:
     idx = sample_indices(rng, x.size, max_count)
-    numeric, keep = masked_central_difference(value_and_masks_fn, x, idx, h)
+    numeric, keep = masked_central_difference(value_and_masks_fn, x, idx)
     if not keep.any():
         return 0.0
     return max_rel_error(analytic.reshape(-1)[idx][keep], numeric[keep])
 
 
-def central_difference(value_fn, x: np.ndarray, flat_idx, h: float = FD_STEP) -> np.ndarray:
+def central_difference(value_fn, x: np.ndarray, flat_idx) -> np.ndarray:
     """`masked_central_difference` of a function without kinks."""
-    return masked_central_difference(lambda: (value_fn(), []), x, flat_idx, h)[0]
+    return masked_central_difference(lambda: (value_fn(), []), x, flat_idx)[0]
 
 
-def fd_compare(value_fn, x, analytic, rng, max_count=40, h=FD_STEP) -> float:
-    return fd_compare_masked(lambda: (value_fn(), []), x, analytic, rng, max_count, h)
+def fd_compare(value_fn, x, analytic, rng, max_count=40) -> float:
+    return fd_compare_masked(lambda: (value_fn(), []), x, analytic, rng, max_count)
 
 
 def random_coords(rng: np.random.Generator, n: int, extent: int = 8) -> np.ndarray:
@@ -118,7 +120,7 @@ def random_coords(rng: np.random.Generator, n: int, extent: int = 8) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def oracle_min_dists(x1: np.ndarray, x2: np.ndarray, block: int = 256):
+def oracle_min_dists(x1: np.ndarray, x2: np.ndarray):
     """Exhaustive per-row nearest neighbor of x1 in x2: (indices, distances).
 
     Squared distances accumulate as dx*dx + dy*dy + dz*dz, the same order as
@@ -129,8 +131,8 @@ def oracle_min_dists(x1: np.ndarray, x2: np.ndarray, block: int = 256):
     n = x1.shape[0]
     idx = np.empty(n, dtype=np.int64)
     dist = np.empty(n)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
+    for lo in range(0, n, _ORACLE_BLOCK):
+        hi = min(lo + _ORACLE_BLOCK, n)
         diff = x1[lo:hi, None, :] - x2[None, :, :]
         sq = (diff * diff).sum(axis=2)
         arg = sq.argmin(axis=1)
@@ -449,11 +451,12 @@ def _check_nn_oracle(rng: np.random.Generator, clouds: int = 20, queries: int = 
         qs = rng.uniform(-2.5, 2.5, (queries, 3))
         reached = np.zeros(n, dtype=bool)
         got_i, got_d = build_index(pc, radius).nearest_many(qs, reached)
-        for q, gi, gd in zip(qs, got_i, got_d):
-            wi, wd = brute_force_nearest(pc, q)
-            want = (wi, wd) if wd <= radius else (-1, float("inf"))
-            if (int(gi), float(gd)) != want:
-                return CheckResult("oracle.nearest_neighbor", False, f"{(gi, gd)} != {want}")
+        want_i, want_d = oracle_min_dists(qs, pc.points)
+        far = want_d > radius
+        want_i[far], want_d[far] = -1, np.inf
+        wrong = int(np.count_nonzero((got_i != want_i) | (got_d != want_d)))
+        if wrong:
+            return CheckResult("oracle.nearest_neighbor", False, f"nearest wrong at {wrong} of {queries} queries")
         want_reached = oracle_min_dists(pc.points, qs)[1] <= radius
         if not np.array_equal(reached, want_reached):
             wrong = int(np.count_nonzero(reached != want_reached))

@@ -16,7 +16,7 @@ from pointpair.geometry import PointCloud
 from pointpair.losses import LossConfig
 from pointpair.net import layers
 from pointpair.net.unet import UNet, UNetConfig
-from pointpair.pairs import generate_pairs, read_pair, write_pair
+from pointpair.pairs import CorrespondenceMap, ScenePair, generate_pairs, read_pair, write_pair
 from pointpair.ply import ply_bytes, read_ply
 from pointpair.train import OptimizerState, TrainConfig, load_checkpoint, save_checkpoint
 
@@ -522,7 +522,7 @@ class TestMalformedPly:
         (workdir / "pairs" / "bad.pcpr").write_bytes(b"PCPR" + 2 * bad)
         rc = cli.main(["pretrain", "--pairs", "pairs", "--config", "train.ini", "--out", "run"])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: PLY vertex count 'many'")
+        assert capsys.readouterr().err.startswith("error: unexpected PLY header line 3: 'element vertex many'")
 
 
 class TestInvalidPairContent:
@@ -574,6 +574,29 @@ class TestConfigEchoType:
         rc = cli.main(["eval", "--checkpoint", "list.ckpt", "--pairs", "pairs", "--out", "ev"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: config JSON is not an object")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda e: e | {"unet": 5}, "config key 'unet' must be a UNetConfig dict, got 5"),
+        (lambda e: e | {"seed": "0"}, "config key 'seed' must be int, got '0'"),
+        (lambda e: e | {"seed": 1.5}, "config key 'seed' must be int, got 1.5"),
+        (lambda e: {k: v for k, v in e.items() if k != "seed"}, "missing config key 'seed'"),
+    ], ids=["int-unet", "str-seed", "float-seed", "missing-seed"])
+    @pytest.mark.parametrize("command", ["eval", "pretrain"])
+    def test_malformed_echo_exits_2_before_the_out_dir(self, workdir, capsys, edit, message, command):
+        _write_train(workdir / "train.ini", max_iters=1)
+        cfg = TrainConfig.from_ini("train.ini", "train")
+        params = UNet(cfg.unet).init_params(0)  # tensors that fit the network
+        save_checkpoint("bad.ckpt", params, edit(cfg.to_dict()), OptimizerState.zeros(params))
+        os.mkdir("pairs")
+        view = PointCloud(np.zeros((2, 3)))
+        write_pair(ScenePair(view, view, CorrespondenceMap(np.array([[0, 0]])), 1.0), "pairs/p.pcpr")
+        if command == "eval":
+            argv = ["eval", "--checkpoint", "bad.ckpt", "--pairs", "pairs", "--out", "out"]
+        else:
+            argv = ["pretrain", "--pairs", "pairs", "--config", "train.ini", "--resume", "bad.ckpt", "--out", "out"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: invalid checkpoint config: {message}\n"
+        assert not os.path.exists(workdir / "out")
 
 
 def _boom(*args, **kwargs):

@@ -51,6 +51,35 @@ def test_from_dict_rejects_unknown_and_missing_keys():
         UNetConfig.from_dict(d)
 
 
+_TRAIN = TrainConfig().to_dict()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"seed": True}, "'seed' must be int, got True"),
+    ({"seed": 1.5}, "'seed' must be int, got 1.5"),
+    ({"seed": "0"}, "'seed' must be int, got '0'"),
+    ({"base_lr": "0.1"}, "'base_lr' must be float, got '0.1'"),
+    ({"base_lr": False}, "'base_lr' must be float, got False"),
+    ({"unet": 5}, "'unet' must be a UNetConfig dict, got 5"),
+    ({"unet": _TRAIN["unet"] | {"channels": (16, 32, 64)}}, r"'channels' must be a list \(tuple\[int, ...\]\)"),
+    ({"unet": _TRAIN["unet"] | {"channels": [16, 32.0, 64]}}, "'channels' must be a list"),
+    ({"loss": _TRAIN["loss"] | {"normalize_features": 1}}, "'normalize_features' must be bool, got 1"),
+    ({"loss": _TRAIN["loss"] | {"variant": None}}, "'variant' must be str, got None"),
+], ids=["bool-for-int", "float-for-int", "str-for-int", "str-for-float", "bool-for-float", "int-for-config",
+        "tuple-for-list", "float-in-int-list", "int-for-bool", "none-for-str"])
+def test_from_dict_rejects_values_of_the_wrong_type(change, message):
+    with pytest.raises(ConfigError, match=message):
+        TrainConfig.from_dict(_TRAIN | change)
+
+
+def test_from_dict_checks_tuple_length_and_takes_int_for_float():
+    d = SyntheticSceneSpec().to_dict()
+    with pytest.raises(ConfigError, match=r"'room_size' must be a list \(tuple\[float, float, float\]\)"):
+        SyntheticSceneSpec.from_dict(d | {"room_size": [4.0, 6.0]})
+    spec = SyntheticSceneSpec.from_dict(d | {"room_size": [4, 6, 2], "density": 800})
+    assert spec == SyntheticSceneSpec(room_size=(4.0, 6.0, 2.0), density=800.0)
+
+
 def test_from_dict_rejects_non_finite_values():
     # the checkpoint echo takes this path without an INI file
     d = SyntheticSceneSpec().to_dict()

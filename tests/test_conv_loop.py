@@ -95,7 +95,7 @@ def test_loop_matches_reference_bitwise(seed, kind, n, extent, cin, cout, sliced
 
     got = conv_apply(maps, feats, kernel, n_out)
     assert got.tobytes() == _reference_apply(maps, feats, kernel, n_out).tobytes()
-    d_in, d_kernel = conv_grads(maps, feats, kernel, d_out, n_in)
+    d_in, d_kernel = conv_grads(maps, feats, kernel, d_out)
     want_in, want_kernel = _reference_grads(maps, feats, kernel, d_out, n_in)
     assert d_in.tobytes() == want_in.tobytes()
     assert d_kernel.tobytes() == want_kernel.tobytes()
@@ -107,7 +107,7 @@ def test_all_taps_empty_gives_zeros():
     kernel = np.ones((27, 2, 3))
     feats = np.ones((4, 2))
     assert not conv_apply(maps, feats, kernel, 5).any()
-    d_in, d_kernel = conv_grads(maps, feats, kernel, np.ones((5, 3)), 4)
+    d_in, d_kernel = conv_grads(maps, feats, kernel, np.ones((5, 3)))
     assert not d_in.any() and not d_kernel.any()
 
 

@@ -15,11 +15,11 @@ from pointpair.geometry import (
     PointCloud,
     RigidScaleTransform,
     apply_transform,
-    brute_force_nearest,
     build_index,
     rotation_about_axis,
 )
 from pointpair.ply import read_ply, write_ply
+from pointpair.verify import oracle_min_dists
 
 
 class TestPointCloud:
@@ -144,7 +144,9 @@ class TestNeighborIndex:
             idx = build_index(pc, 12.0)
             queries = rng.uniform(-3.5, 3.5, (30, 3))
             found, dist = idx.nearest_many(queries)
-            assert list(zip(found.tolist(), dist.tolist())) == [brute_force_nearest(pc, q) for q in queries]
+            want_i, want_d = oracle_min_dists(queries, pc.points)
+            np.testing.assert_array_equal(found, want_i)
+            np.testing.assert_array_equal(dist.view(np.int64), want_d.view(np.int64))
 
     def test_bytes_per_point_are_bounded(self, rng):
         # a surface at the radius's spacing, as voxel-subsampled views are
@@ -166,19 +168,17 @@ class TestNeighborIndex:
 
 
 def _bounded_oracle(pts, queries, radius):
-    """`brute_force_nearest` per query, cut at `radius`."""
-    pc = PointCloud(pts)
-    out = [brute_force_nearest(pc, q) for q in queries]
-    idx = np.array([i if d <= radius else -1 for i, d in out], dtype=np.int64)
-    dist = np.array([d if d <= radius else np.inf for _, d in out])
+    """`oracle_min_dists` over all queries, cut at `radius`."""
+    idx, dist = oracle_min_dists(queries, pts)
+    far = dist > radius
+    idx[far], dist[far] = -1, np.inf
     return idx, dist
 
 
 def _reached_oracle(pts, queries, radius):
     """Per reference point: whether some query lies within `radius`, by
-    `brute_force_nearest` over the queries."""
-    qc = PointCloud(queries)
-    return np.array([brute_force_nearest(qc, p)[1] <= radius for p in pts], dtype=bool)
+    `oracle_min_dists` from every reference point over the queries."""
+    return oracle_min_dists(pts, queries)[1] <= radius
 
 
 def _assert_bounded_exact(pts, queries, radius):
@@ -254,7 +254,7 @@ class TestRadiusBoundedSearch:
         base = np.array([[0.5, 0.25, -0.75]]) + offset
         for delta in ([0.25, 0.0, 0.0], [0.0, 0.0, -0.25], [0.3, 0.4, 0.0], [0.1, -0.2, 0.3]):
             q = base + np.array(delta)
-            _, d = brute_force_nearest(PointCloud(base), q[0])
+            d = oracle_min_dists(q, base)[1][0]
             found, dist = build_index(PointCloud(base), d).nearest_many(q)
             assert (found[0], dist[0]) == (0, d)
             found, dist = build_index(PointCloud(base), np.nextafter(d, 0.0)).nearest_many(q)
@@ -347,21 +347,33 @@ class TestPly:
         with pytest.raises(FormatError):
             read_ply(io.BytesIO(data))
 
-    # each malformed header line once raised ValueError or IndexError; each
-    # blob below fails on the line its id names, before the 12-byte payload
-    _XYZ = b"property float x\nproperty float y\nproperty float z\nend_header\n" + bytes(12)
+    # each malformed header line once raised ValueError or IndexError, and
+    # each header that differs from the one `write_ply` writes is rejected;
+    # every blob below fails on the line its message names, before the payload
+    _V1 = b"ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
+    _XYZ_LINES = b"property float x\nproperty float y\nproperty float z\n"
+    _XYZ = _XYZ_LINES + b"end_header\n" + bytes(12)
     _BLE = b"ply\nformat binary_little_endian 1.0\n"
 
     @pytest.mark.parametrize("blob, message", [
-        (_BLE + b"element vertex many\n" + _XYZ, "is not an integer"),
-        (_BLE + b"element vertex -3\n" + _XYZ, "negative PLY vertex count"),
-        (b"ply\nformat\nelement vertex 1\n" + _XYZ, "too few fields"),
-        (_BLE + b"element vertex\n" + _XYZ, "too few fields"),
-        (_BLE + b"element vertex 1\nproperty float\n" + _XYZ, "too few fields"),
-        (b"ply\nformat ascii 1.0\nelement vertex 1\n" + _XYZ, "unsupported PLY format 'ascii'"),
+        (_BLE + b"element vertex many\n" + _XYZ, "line 3: 'element vertex many'"),
+        (_BLE + b"element vertex -3\n" + _XYZ, "line 3: 'element vertex -3'"),
+        (b"ply\nformat\nelement vertex 1\n" + _XYZ, "line 2: 'format'"),
+        (_BLE + b"element vertex\n" + _XYZ, "line 3: 'element vertex'"),
+        (_BLE + b"element vertex 1\nproperty float\n" + _XYZ, "line 4: 'property float'"),
+        (b"ply\nformat ascii 1.0\nelement vertex 1\n" + _XYZ, "line 2: 'format ascii 1.0'"),
         (_BLE + b"comment \xff\nelement vertex 1\n" + _XYZ, "non-ASCII byte"),
+        (_BLE + b"comment written elsewhere\nelement vertex 1\n" + _XYZ, "line 3: 'comment written elsewhere'"),
+        (_V1 + b"property float32 x\nproperty float y\nproperty float z\nend_header\n" + bytes(12),
+         "line 4: 'property float32 x'"),
+        (_BLE + b"element vertex 03\n" + _XYZ, "line 3: 'element vertex 03'"),
+        (_BLE + b"element vertex " + b"9" * 5000 + b"\n" + _XYZ, "line 3: 'element vertex 999"),
+        (_V1 + _XYZ_LINES + b"property float f1\nproperty float f0\nend_header\n" + bytes(20),
+         "line 7: 'property float f1'"),
+        (_V1 + _XYZ_LINES + b"element face 0\nend_header\n" + bytes(12), "line 7: 'element face 0'"),
     ], ids=["count-not-int", "negative-count-binary", "short-format", "short-element",
-            "short-property", "ascii-format", "non-ascii-header"])
+            "short-property", "ascii-format", "non-ascii-header", "comment", "float32-alias",
+            "leading-zero-count", "5000-digit-count", "f1-before-f0", "face-element"])
     def test_malformed_text_raises_format_error(self, blob, message):
         with pytest.raises(FormatError, match=message):
             read_ply(io.BytesIO(blob))
